@@ -5,6 +5,11 @@ unit, a reference subset and a metric.  Rankings sort every candidate of a
 table by its metric distance to the target; exact distance ties are broken by
 ascending L2 distance to the target, then by candidate name, which keeps the
 result deterministic.
+
+A ranking matches the target's references to the table's columns by folded
+name once, then scores each row as plain floats: one sorted list of
+per-reference differences gives both the distance and the L2 tie-break.  A
+distance or relative error that is not a finite double raises InvalidValue.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from .core import (
     MetricSpec,
     Profile,
     Unit,
+    _reduce,
     convert,
     magnitude,
-    metric_distance,
 )
 from .dataset import REFERENCES, DistanceTable, builtin_table, subset_references
 from .errors import (
@@ -56,6 +61,7 @@ __all__ = [
 
 # The metric family every gap report is computed over.
 STANDARD_METRICS = (MetricSpec.infinity(), MetricSpec.ln(1), MetricSpec.ln(2))
+_L2 = MetricSpec.ln(2)  # breaks exact distance ties
 
 
 @dataclass(frozen=True)
@@ -163,11 +169,12 @@ def rank_candidates(
         raise UnitMismatch(
             f"target is in {target.unit.value} but the table is in {table.unit.value}"
         )
-    l2 = MetricSpec.ln(2)
+    goal = table.aligned(target)
     scored = []
-    for name, row in table.rows():
-        scored.append((metric_distance(metric, row, target),
-                       metric_distance(l2, row, target), name))
+    for name, row in zip(table.candidates, table.value_rows):
+        diffs = [abs(a - b) for a, b in zip(row, goal)]
+        diffs.sort(reverse=True)
+        scored.append((_reduce(metric, diffs), _reduce(_L2, diffs), name))
     scored.sort()
     return [RankingEntry(name, dist, pos + 1)
             for pos, (dist, _, name) in enumerate(scored)]
@@ -184,10 +191,27 @@ def relative_error_percent(distance: float, target: Profile, metric: MetricSpec)
     """Distance as a percentage of the target's own magnitude under ``metric``."""
     if not math.isfinite(distance) or distance < 0.0:
         raise InvalidValue(f"distance must be finite and >= 0, got {distance!r}")
+    return _percent(distance, _scale(target, metric))
+
+
+def _scale(target: Profile, metric: MetricSpec) -> float:
+    """The target's magnitude under ``metric``, the base of relative errors."""
     scale = magnitude(metric, target)
     if scale <= 0.0:
         raise DegenerateTarget("target profile has zero magnitude")
-    return 100.0 * distance / scale
+    return scale
+
+
+def _percent(distance: float, scale: float) -> float:
+    """``distance`` as a percentage of ``scale``; InvalidValue unless finite."""
+    error = 100.0 * distance / scale
+    if math.isinf(error):  # 100 * distance alone may exceed the largest double
+        error = distance / scale * 100.0
+    if not math.isfinite(error):
+        raise InvalidValue(
+            f"the relative error of distance {distance!r} exceeds the largest double"
+        )
+    return error
 
 
 def gap_report(table: DistanceTable, target: Profile) -> GapReport:
@@ -196,19 +220,30 @@ def gap_report(table: DistanceTable, target: Profile) -> GapReport:
     Gaps are computed from full-precision relative errors; rounding is left
     to the rendering layer.
     """
+    return _rank_family(table, target, STANDARD_METRICS)[2]
+
+
+def _rank_family(
+    table: DistanceTable, target: Profile, metrics: Sequence[MetricSpec]
+) -> tuple[dict[MetricSpec, tuple[RankingEntry, ...]], dict[MetricSpec, float], GapReport]:
+    """Rankings and relative-error scales of ``metrics`` and the standard
+    metrics, each computed once, plus the gap report they give."""
     if len(table) < 2:
         raise InsufficientCandidates("gap analysis needs at least two candidates")
+    needed = tuple(dict.fromkeys((*metrics, *STANDARD_METRICS)))
+    rankings = {metric: tuple(rank_candidates(table, target, metric)) for metric in needed}
+    scales = {metric: _scale(target, metric) for metric in needed}
     records = []
     for metric in STANDARD_METRICS:
-        first, second = rank_candidates(table, target, metric)[:2]
-        first_error = relative_error_percent(first.distance, target, metric)
-        second_error = relative_error_percent(second.distance, target, metric)
+        first, second = rankings[metric][:2]
+        first_error = _percent(first.distance, scales[metric])
+        second_error = _percent(second.distance, scales[metric])
         records.append(
             GapRecord(metric, first.candidate, first_error,
                       second.candidate, second_error, second_error - first_error)
         )
     mean = math.fsum(r.gap for r in records) / len(records)
-    return GapReport(tuple(records), mean)
+    return rankings, scales, GapReport(tuple(records), mean)
 
 
 def sweep(
@@ -238,13 +273,10 @@ def sweep(
             for unit in units:
                 restricted = subset_references(tables[unit], refs)
                 target = target_profile(solution, unit, restricted.references, rates)
-                family_gaps = gap_report(restricted, target)
+                rankings, scales, family_gaps = _rank_family(restricted, target, metrics)
                 for metric in metrics:
-                    ranking = tuple(rank_candidates(restricted, target, metric))
-                    errors = tuple(
-                        relative_error_percent(entry.distance, target, metric)
-                        for entry in ranking
-                    )
+                    ranking = rankings[metric]
+                    errors = tuple(_percent(entry.distance, scales[metric]) for entry in ranking)
                     config = Configuration(solution, unit, restricted.references, metric)
                     results[config] = SweepResult(ranking, errors, family_gaps)
     return results

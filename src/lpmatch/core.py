@@ -8,7 +8,10 @@ profiles listing the same references in different orders are equivalent.
 Distances are computed in double precision; rounding happens only at display
 time.  The per-reference absolute differences are put into a canonical
 (descending) order before reduction, which makes every metric bit-exact under
-permutation of the input entries.
+permutation of the input entries.  Aligning by name is separate from that
+reduction, so a ranking aligns its table with the target once and reduces
+plain float rows.  A distance that is not a finite double (finite inputs
+whose L1, L2 or Ln total exceeds the largest double) raises InvalidValue.
 """
 
 from __future__ import annotations
@@ -137,6 +140,20 @@ class Profile:
             values.append(by_key[key])
         return Profile(tuple(names), tuple(values), self.unit)
 
+    def aligned_values(self, keys: Sequence[str]) -> tuple[float, ...]:
+        """Values in the order of the folded reference ``keys``.
+
+        Raises ReferenceMismatch unless the profile covers exactly those
+        references.
+        """
+        by_key = {fold_name(n): v for n, v in self.items()}
+        if len(keys) != len(by_key) or not all(k in by_key for k in keys):
+            odd = sorted(set(keys) ^ set(by_key))
+            raise ReferenceMismatch(
+                "profiles do not cover the same references (unmatched: " + ", ".join(odd) + ")"
+            )
+        return tuple(by_key[k] for k in keys)
+
     def zeroed(self) -> "Profile":
         return Profile(self.names, (0.0,) * len(self.values), self.unit)
 
@@ -195,18 +212,36 @@ class MetricSpec:
         return "d_inf" if self.order is None else f"d_{self.order}"
 
 
-def _aligned_differences(x: Profile, y: Profile) -> list[float]:
-    """Per-reference absolute differences, canonically ordered (descending)."""
-    theirs = {fold_name(n): v for n, v in y.items()}
-    mine = {fold_name(n): v for n, v in x.items()}
-    if set(mine) != set(theirs):
-        odd = sorted(set(mine) ^ set(theirs))
-        raise ReferenceMismatch(
-            "profiles do not cover the same references (unmatched: " + ", ".join(odd) + ")"
-        )
-    diffs = [abs(mine[key] - theirs[key]) for key in mine]
-    diffs.sort(reverse=True)
-    return diffs
+# Above this order every ratio d/peak < 1 raised to the order underflows to
+# 0.0 and the count of tied peaks raised to 1/order rounds to 1.0, so Ln
+# evaluated at this order is the same double as at any larger exact order.
+_HUGE_ORDER = 2**64
+
+
+def _reduce(spec: MetricSpec, diffs: Sequence[float]) -> float:
+    """Lp norm of non-empty, non-negative ``diffs`` sorted in descending order.
+
+    Raises InvalidValue when the norm is not a finite double.
+    """
+    n = spec.order
+    if n is None:
+        return diffs[0]
+    if n == 1:
+        try:
+            total = math.fsum(diffs)
+        except OverflowError:
+            total = math.inf
+    elif n == 2:
+        total = math.hypot(*diffs)
+    else:
+        peak = diffs[0]
+        if peak == 0.0:
+            return 0.0
+        n = min(n, _HUGE_ORDER)
+        total = peak * math.fsum((d / peak) ** n for d in diffs) ** (1.0 / n)
+    if not math.isfinite(total):
+        raise InvalidValue(f"the {spec.token} distance exceeds the largest double")
+    return total
 
 
 def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
@@ -215,21 +250,14 @@ def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
     Entries are aligned by folded reference name, so entry order never
     matters.  Ln for n >= 3 is evaluated as ``M * (sum((d/M)**n))**(1/n)``
     with M the largest difference, which cannot overflow for large n.
+    Raises InvalidValue when the distance is not a finite double.
     """
     if x.unit is not y.unit:
         raise UnitMismatch(f"cannot compare a {x.unit.value} profile with a {y.unit.value} one")
-    diffs = _aligned_differences(x, y)
-    if spec.is_infinity:
-        return diffs[0]
-    n = spec.order
-    if n == 1:
-        return math.fsum(diffs)
-    if n == 2:
-        return math.hypot(*diffs)
-    peak = diffs[0]
-    if peak == 0.0:
-        return 0.0
-    return peak * math.fsum((d / peak) ** n for d in diffs) ** (1.0 / n)
+    theirs = y.aligned_values(tuple(fold_name(n) for n in x.names))
+    diffs = [abs(a - b) for a, b in zip(x.values, theirs)]
+    diffs.sort(reverse=True)
+    return _reduce(spec, diffs)
 
 
 def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) -> Profile:
@@ -251,4 +279,4 @@ def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) ->
 
 def magnitude(spec: MetricSpec, p: Profile) -> float:
     """Distance from ``p`` to the all-zero profile over the same references."""
-    return metric_distance(spec, p, p.zeroed())
+    return _reduce(spec, sorted((abs(v) for v in p.values), reverse=True))

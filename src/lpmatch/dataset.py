@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import Profile, Unit, fold_name
 from .errors import (
@@ -117,17 +117,18 @@ class DistanceTable:
         refs = tuple(normalize_name(r) for r in references)
         if not refs:
             raise EmptySelection("a table needs at least one reference column")
-        if len({fold_name(r) for r in refs}) != len(refs):
+        keys = tuple(fold_name(r) for r in refs)
+        if len(set(keys)) != len(refs):
             raise InvalidValue("duplicate reference name in table header")
         names: list[str] = []
         values: list[tuple[float, ...]] = []
-        seen: set[str] = set()
+        index: dict[str, int] = {}
         for raw_name, raw_values in rows:
             name = normalize_name(raw_name)
             key = fold_name(name)
-            if key in seen:
+            if key in index:
                 raise DuplicateCandidate(f"duplicate candidate {name!r}")
-            seen.add(key)
+            index[key] = len(names)
             vals = tuple(float(v) for v in raw_values)
             if len(vals) != len(refs):
                 raise InvalidValue(
@@ -144,9 +145,21 @@ class DistanceTable:
             raise EmptyInput("table has no candidate rows")
         self._unit = unit
         self._references = refs
+        self._keys = keys
         self._candidates = tuple(names)
         self._values = tuple(values)
-        self._index = {fold_name(n): i for i, n in enumerate(names)}
+        self._index = index
+
+    def _columns(self, indices: Sequence[int]) -> "DistanceTable":
+        """The table restricted to the columns at ``indices``, without re-validating."""
+        table = object.__new__(DistanceTable)
+        table._unit = self._unit
+        table._references = tuple(self._references[i] for i in indices)
+        table._keys = tuple(self._keys[i] for i in indices)
+        table._candidates = self._candidates
+        table._values = tuple(tuple(row[i] for i in indices) for row in self._values)
+        table._index = self._index  # never mutated, so it can be shared
+        return table
 
     @property
     def unit(self) -> Unit:
@@ -160,6 +173,19 @@ class DistanceTable:
     def candidates(self) -> tuple[str, ...]:
         return self._candidates
 
+    @property
+    def value_rows(self) -> tuple[tuple[float, ...], ...]:
+        """One validated value tuple per candidate, in candidate order."""
+        return self._values
+
+    def aligned(self, profile: Profile) -> tuple[float, ...]:
+        """``profile``'s values in this table's reference order, matched by folded name.
+
+        Raises ReferenceMismatch unless the profile covers exactly the
+        table's references.
+        """
+        return profile.aligned_values(self._keys)
+
     def row_values(self, candidate: str) -> tuple[float, ...]:
         key = fold_name(normalize_name(candidate))
         if key not in self._index:
@@ -168,10 +194,6 @@ class DistanceTable:
 
     def row(self, candidate: str) -> Profile:
         return Profile(self._references, self.row_values(candidate), self._unit)
-
-    def rows(self) -> Iterator[tuple[str, Profile]]:
-        for name, vals in zip(self._candidates, self._values):
-            yield name, Profile(self._references, vals, self._unit)
 
     def __len__(self) -> int:
         return len(self._candidates)
@@ -333,8 +355,8 @@ def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow(("name",) + table.references)
-    for candidate in table.candidates:
-        writer.writerow((candidate,) + tuple(repr(v) for v in table.row_values(candidate)))
+    for candidate, values in zip(table.candidates, table.value_rows):
+        writer.writerow((candidate,) + tuple(repr(v) for v in values))
     return out.getvalue()
 
 
@@ -342,19 +364,11 @@ def subset_references(table: DistanceTable, keep: Sequence[str]) -> DistanceTabl
     """Restrict a table to the given reference columns, keeping table order."""
     if not keep:
         raise EmptySelection("must keep at least one reference")
-    available = {fold_name(r): i for i, r in enumerate(table.references)}
+    available = set(table._keys)
     wanted: set[str] = set()
     for raw in keep:
         key = fold_name(raw)
         if key not in available:
             raise ReferenceNotFound(f"unknown reference {raw!r}")
         wanted.add(key)
-    indices = [i for i, r in enumerate(table.references) if fold_name(r) in wanted]
-    return DistanceTable(
-        table.unit,
-        tuple(table.references[i] for i in indices),
-        (
-            (name, tuple(table.row_values(name)[i] for i in indices))
-            for name in table.candidates
-        ),
-    )
+    return table._columns([i for i, key in enumerate(table._keys) if key in wanted])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -53,9 +53,15 @@ FORMATS = ("md", "csv", "jsonl")
 TARGET_LABEL = "LUGAR DE LA MANCHA"
 
 
+# Two decimals of the largest finite double take 311 significant digits.
+_WIDE_PRECISION = 320
+
+
 def format_2dp(x: float) -> str:
     """Two-decimal display form, ties rounded away from zero."""
-    return str(Decimal(repr(float(x))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    with localcontext() as context:
+        context.prec = _WIDE_PRECISION
+        return str(Decimal(repr(float(x))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 @dataclass(frozen=True)
@@ -368,7 +374,11 @@ def write_document_set(
     }
 
     grid = list(results.items())
-    assert len(grid) == 24, "document numbering expects the full builtin grid"
+    if len(grid) != 24:
+        raise InvalidValue(
+            "document numbering expects the full builtin grid of 24 configurations, "
+            f"got {len(grid)}"
+        )
     for family_index, numbers in enumerate(_FAMILY_DOC_NUMBERS):
         for metric_index, number in enumerate(numbers):
             config, result = grid[family_index * 3 + metric_index]

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lpmatch import analysis
 from lpmatch.analysis import (
     BUILTIN_SOLUTIONS,
     CLASSIC_SOLUTION,
@@ -23,6 +24,7 @@ from lpmatch.errors import (
     DegenerateTarget,
     InsufficientCandidates,
     InvalidValue,
+    ReferenceMismatch,
     UnitMismatch,
 )
 
@@ -108,6 +110,20 @@ class TestRankCandidates:
         with pytest.raises(UnitMismatch):
             rank_candidates(KM, CLASSIC_HOURS, L2)
 
+    def test_reference_mismatch_names_the_unmatched_references(self):
+        target = Profile(REFERENCES[:3] + ("Ruidera",), (1.0, 2.0, 3.0, 4.0), Unit.KILOMETERS)
+        with pytest.raises(ReferenceMismatch, match="unmatched: munera, ruidera"):
+            rank_candidates(KM, target, L2)
+
+    @pytest.mark.parametrize("metric", [L1, L2, MetricSpec.ln(3), LINF])
+    def test_distance_beyond_the_largest_double_is_invalid(self, metric):
+        # under L_inf the distances fit, but their L2 tie-break keys do not
+        table = DistanceTable(Unit.KILOMETERS, ("a", "b", "c"),
+                              [("X", (1.7e308,) * 3), ("Y", (1.6e308, 1.7e308, 1.5e308))])
+        target = Profile(("a", "b", "c"), (31.0, 62.0, 93.0), Unit.KILOMETERS)
+        with pytest.raises(InvalidValue, match="exceeds the largest double"):
+            rank_candidates(table, target, metric)
+
 
 class TestTopK:
     def test_default_five_golden(self):
@@ -148,6 +164,14 @@ class TestRelativeError:
 
     def test_zero_distance(self):
         assert relative_error_percent(0.0, CLASSIC_KM, L2) == 0.0
+
+    def test_error_beyond_the_largest_double_is_invalid(self):
+        with pytest.raises(InvalidValue, match="exceeds the largest double"):
+            relative_error_percent(1.7e308, CLASSIC_KM, LINF)
+
+    def test_error_that_fits_a_double_survives_a_huge_distance(self):
+        target = Profile(("a",), (1000.0,), Unit.KILOMETERS)
+        assert relative_error_percent(1.7e308, target, LINF) == 1.7e308 / 1000.0 * 100.0
 
     def test_degenerate_target(self):
         zero = Profile(("a",), (0.0,), Unit.KILOMETERS)
@@ -222,6 +246,32 @@ class TestSweep:
         refined = [r for c, r in results.items() if c.solution.label == "refined"]
         assert len(refined) == 12
         assert all(r.ranking[0].candidate == "Villanueva de los Infantes" for r in refined)
+
+    def test_ranks_and_scales_each_family_metric_once(self, monkeypatch):
+        calls = {"rank": 0, "magnitude": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(analysis, "rank_candidates",
+                            counted("rank", analysis.rank_candidates))
+        monkeypatch.setattr(analysis, "magnitude", counted("magnitude", analysis.magnitude))
+        run_builtin_grid()
+        assert calls == {"rank": 24, "magnitude": 24}
+
+    def test_gaps_are_shared_with_a_standalone_gap_report(self):
+        results = sweep((REFINED_SOLUTION,), (Unit.HOURS,), (REFERENCES[:3],), (MetricSpec.ln(3),))
+        (config, result), = results.items()
+        restricted = subset_references(HOURS, REFERENCES[:3])
+        assert result.gaps == gap_report(restricted, REFINED_HOURS_3)
+        assert list(result.ranking) == rank_candidates(restricted, REFINED_HOURS_3, config.metric)
+        assert result.errors == tuple(
+            relative_error_percent(e.distance, REFINED_HOURS_3, config.metric)
+            for e in result.ranking
+        )
 
     def test_errors_align_with_ranking(self):
         results = run_builtin_grid()

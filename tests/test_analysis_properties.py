@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpmatch.analysis import rank_candidates, relative_error_percent
-from lpmatch.core import MetricSpec, Profile, Unit
+from lpmatch.analysis import RankingEntry, rank_candidates, relative_error_percent
+from lpmatch.core import MetricSpec, Profile, Unit, metric_distance
 from lpmatch.dataset import DistanceTable
 
 METRICS = (MetricSpec.infinity(), MetricSpec.ln(1), MetricSpec.ln(2), MetricSpec.ln(3))
@@ -138,6 +138,56 @@ def test_dominated_candidates_never_rank_better():
                     assert distance[a] <= distance[b] + 1e-12
                     if all(x < y for x, y in zip(diffs[a], diffs[b])):
                         assert position[a] < position[b]
+
+
+# Reference names with case, spacing and diacritics to re-spell.
+BASE_REFERENCES = ("Peña Alta", "Río Frío", "Cañada Real", "Álamo", "Ermita de San Blas")
+
+
+def respellings(name):
+    plain = name.replace("ñ", "n").replace("í", "i").replace("Á", "A")
+    return st.sampled_from((name, name.upper(), plain.lower(),
+                            "  " + name.replace(" ", "   ") + " "))
+
+
+@st.composite
+def permuted_tables_and_targets(draw):
+    n_refs = draw(st.integers(min_value=1, max_value=len(BASE_REFERENCES)))
+    refs = BASE_REFERENCES[:n_refs]
+    value = st.one_of(
+        st.integers(min_value=1, max_value=20000).map(lambda k: k / 100.0),
+        st.floats(min_value=0.01, max_value=1e300),
+    )
+    row_values = st.lists(value, min_size=n_refs, max_size=n_refs).map(tuple)
+    rows = draw(st.lists(row_values, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows += rows[:2]  # repeated rows tie exactly and fall to the name
+    table = DistanceTable(Unit.KILOMETERS, refs,
+                          [(f"cand{i}", values) for i, values in enumerate(rows)])
+    order = draw(st.permutations(range(n_refs)))
+    names = tuple(draw(respellings(refs[i])) for i in order)
+    values = draw(st.lists(value, min_size=n_refs, max_size=n_refs))
+    return table, Profile(names, tuple(values), Unit.KILOMETERS)
+
+
+@pytest.mark.parametrize(
+    "metric",
+    METRICS + (MetricSpec.ln(40), MetricSpec.ln(2**64 + 1), MetricSpec.ln(10**400)),
+    ids=lambda m: m.token[:8],
+)
+@given(data=permuted_tables_and_targets())
+@settings(max_examples=60, deadline=None)
+def test_matches_per_pair_metric_distance_under_permutation_and_respelling(metric, data):
+    """The align-once ranking equals, under ==, one built from per-pair
+    metric_distance calls, which align every row by name."""
+    table, target = data
+    scored = sorted(
+        (metric_distance(metric, table.row(name), target),
+         metric_distance(MetricSpec.ln(2), table.row(name), target), name)
+        for name in table.candidates
+    )
+    expected = [RankingEntry(name, dist, pos + 1) for pos, (dist, _, name) in enumerate(scored)]
+    assert rank_candidates(table, target, metric) == expected
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20000).map(lambda k: k / 100.0),

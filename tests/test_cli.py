@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -241,3 +242,41 @@ class TestReproduceCommand:
         code, _, err = invoke(capsys, "reproduce", "--outdir", str(blocker / "sub"))
         assert code == 1
         assert "error:" in err
+
+
+class TestOverflowInputs:
+    """Finite inputs beyond what a double holds end in a result or a clean error."""
+
+    def write(self, tmp_path, *rows):
+        path = tmp_path / "huge.csv"
+        path.write_text("name;a;b;c\n" + "".join(f"{row}\n" for row in rows), encoding="utf-8")
+        return path
+
+    def test_huge_order_ranks_by_the_peak_difference(self, capsys):
+        huge = "l" + "7" * 400
+        code, out, err = invoke(capsys, "rank", "--metric", huge, "--format", "csv", "--top", "24")
+        assert (code, err) == (0, "")
+        _, linf, _ = invoke(capsys, "rank", "--metric", "linf", "--format", "csv", "--top", "24")
+        # the exact Ln distance of so large an order rounds to the largest difference
+        assert out.splitlines()[1:] == linf.splitlines()[1:]
+        assert out.splitlines()[0].endswith(",d_" + huge[1:])
+
+    @pytest.mark.parametrize("command,metric", [
+        ("rank", "l1"), ("rank", "l2"), ("rank", "l3"), ("rank", "linf"),
+        ("errors", "l1"), ("gaps", "l1"),
+    ])
+    def test_distances_beyond_the_largest_double_exit_1(self, capsys, tmp_path, command, metric):
+        path = self.write(tmp_path, "x;1,7e308;1,7e308;1,7e308", "y;1,6e308;1,7e308;1,5e308")
+        code, out, err = invoke(capsys, command, "--data", str(path), "--solution", "1,2,3",
+                                "--metric", metric)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "exceeds the largest double" in err
+
+    def test_large_finite_cells_render_in_full(self, capsys, tmp_path):
+        path = self.write(tmp_path, "x;1e300;2e300;3e300", "y;1,5e300;1e300;1e300")
+        code, out, err = invoke(capsys, "rank", "--data", str(path), "--solution", "1,2,3",
+                                "--metric", "linf", "--format", "csv")
+        assert (code, err) == (0, "")
+        cells = [f"{int(Decimal(v))}.00" for v in ("1.5e300", "1e300", "1e300", "1.5e300")]
+        assert out.splitlines()[2] == ",".join(["Y"] + cells)

@@ -175,6 +175,26 @@ class TestMetricDistance:
         assert math.isfinite(d)
         assert d >= 2e150
 
+    @pytest.mark.parametrize("order", [2**64, 2**64 + 1, 10**30, int("9" * 400)])
+    def test_huge_order_is_the_peak_difference(self, order):
+        # every ratio below 1 vanishes and the tie count's root rounds to 1
+        x = Profile(("a", "b", "c"), (1.0, 5.0, 2.5), Unit.KILOMETERS)
+        y = Profile(("c", "a", "b"), (0.5, 3.0, 1.0), Unit.KILOMETERS)
+        assert metric_distance(MetricSpec.ln(order), x, y) == 4.0
+        assert magnitude(MetricSpec.ln(order), x) == 5.0
+
+    @pytest.mark.parametrize("spec", [MetricSpec.ln(1), MetricSpec.ln(2), MetricSpec.ln(3)])
+    def test_distance_beyond_the_largest_double_is_invalid(self, spec):
+        big = Profile(("a", "b"), (1.7e308, 1.7e308), Unit.KILOMETERS)
+        with pytest.raises(InvalidValue, match="exceeds the largest double"):
+            metric_distance(spec, big, big.zeroed())
+        with pytest.raises(InvalidValue, match="exceeds the largest double"):
+            magnitude(spec, big)
+
+    def test_linf_of_the_largest_values_is_finite(self):
+        big = Profile(("a", "b"), (1.7e308, 1.6e308), Unit.KILOMETERS)
+        assert metric_distance(MetricSpec.infinity(), big, big.zeroed()) == 1.7e308
+
 
 class TestConvert:
     def test_classic_to_km(self):

@@ -204,6 +204,13 @@ class TestSubsetReferences:
             full = km.row(name).as_dict()
             assert sub.row_values(name) == (full["Puerto Lápice"], full["Munera"])
 
+    def test_alias_lookups_still_work(self):
+        sub = subset_references(builtin_table("km"), ("el toboso", "VENTA DE CARDENAS"))
+        assert sub.row_values("Fuencollana") == sub.row_values("fuenllana") == (71.56, 87.00)
+        assert sub.row(" FUENCOLLANA ").names == ("Venta de Cárdenas", "El Toboso")
+        with pytest.raises(KeyError):
+            sub.row_values("El Dorado")
+
 
 class TestDistanceTableValidation:
     def test_wrong_arity(self):
@@ -246,3 +253,21 @@ def random_tables(draw):
 @settings(max_examples=150)
 def test_serialize_parse_round_trip_property(table):
     assert parse_table(serialize_table(table), unit=table.unit) == table
+
+
+@given(random_tables(), st.data())
+@settings(max_examples=150)
+def test_subset_equals_a_table_built_afresh(table, data):
+    keep = data.draw(st.lists(st.sampled_from(table.references), min_size=1, unique=True))
+    columns = [i for i, ref in enumerate(table.references) if ref in keep]
+    fresh = DistanceTable(
+        table.unit,
+        [table.references[i] for i in columns],
+        [(name, [table.row_values(name)[i] for i in columns]) for name in table.candidates],
+    )
+    sub = subset_references(table, [ref.upper() for ref in keep])
+    assert sub == fresh
+    assert sub.value_rows == fresh.value_rows
+    for name in table.candidates:
+        assert sub.row_values(f" {name.upper()} ") == fresh.row_values(name)
+        assert sub.row(name) == fresh.row(name)

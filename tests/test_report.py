@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+from decimal import Decimal
 
 import pytest
 
+from lpmatch import report
 from lpmatch.analysis import (
     CLASSIC_SOLUTION,
     REFINED_SOLUTION,
@@ -43,6 +45,12 @@ class TestFormat2dp:
     )
     def test_rounding(self, value, expected):
         assert format_2dp(value) == expected
+
+    @pytest.mark.parametrize("value", [1e26, -3.5e30, 1.7e308, -1.7976931348623157e308])
+    def test_large_finite_values_print_every_integer_digit(self, value):
+        text = format_2dp(value)
+        assert text.endswith(".00")
+        assert Decimal(text) == Decimal(repr(value))
 
 
 class TestRenderedTable:
@@ -226,3 +234,10 @@ class TestWriteDocumentSet:
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(InvalidValue):
             write_document_set(tmp_path, fmt="pdf")
+
+    def test_partial_grid_is_refused_without_asserts(self, tmp_path, monkeypatch):
+        # a real check, which python -O keeps
+        partial = dict(list(run_builtin_grid().items())[:21])
+        monkeypatch.setattr(report, "run_builtin_grid", lambda rates: partial)
+        with pytest.raises(InvalidValue, match="24 configurations"):
+            write_document_set(tmp_path)
