@@ -7,8 +7,9 @@ ascending L2 distance to the target, then by candidate name, which keeps the
 result deterministic.
 
 A ranking matches the target's references to the table's columns by folded
-name once, then scores each row as plain floats: one sorted list of
-per-reference differences gives both the distance and the L2 tie-break.  A
+name once, then works a whole column at a time: one list of |column - goal|
+differences per reference gives every candidate's distance and L2 tie-break
+through the batch reducer of ``core``, and one sort orders the candidates.  A
 distance or relative error that is not a finite double raises InvalidValue.
 """
 
@@ -16,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import repeat
+from operator import sub
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_RATES,
@@ -24,7 +27,8 @@ from .core import (
     MetricSpec,
     Profile,
     Unit,
-    _reduce,
+    _norm,
+    _norms,
     convert,
     magnitude,
 )
@@ -85,8 +89,9 @@ REFINED_SOLUTION = SolutionProfile(
 BUILTIN_SOLUTIONS = {s.label: s for s in (CLASSIC_SOLUTION, REFINED_SOLUTION)}
 
 
-@dataclass(frozen=True)
-class RankingEntry:
+class RankingEntry(NamedTuple):
+    """One candidate's place in a ranking; immutable, and also a plain tuple."""
+
     candidate: str
     distance: float
     rank: int
@@ -170,14 +175,23 @@ def rank_candidates(
             f"target is in {target.unit.value} but the table is in {table.unit.value}"
         )
     goal = table.aligned(target)
-    scored = []
-    for name, row in zip(table.candidates, table.value_rows):
-        diffs = [abs(a - b) for a, b in zip(row, goal)]
-        diffs.sort(reverse=True)
-        scored.append((_reduce(metric, diffs), _reduce(_L2, diffs), name))
-    scored.sort()
-    return [RankingEntry(name, dist, pos + 1)
-            for pos, (dist, _, name) in enumerate(scored)]
+    diffs = [list(map(abs, map(sub, column, repeat(g))))
+             for column, g in zip(table.value_columns, goal)]
+    try:
+        distances = _norms(metric, diffs)
+        ties = distances if metric == _L2 else _norms(_L2, diffs)
+    except InvalidValue:
+        # report the metric that a row-by-row walk meets first, checking each
+        # row's distance before its tie-break
+        for row in zip(*diffs):
+            _norm(metric, row)
+            _norm(_L2, row)
+        raise
+    distances, _, names = zip(*sorted(zip(distances, ties, table.candidates)))
+    # tuple.__new__ builds each entry as RankingEntry(name, distance, rank)
+    # would, without a Python-level __new__ call per candidate
+    fields = zip(names, distances, range(1, len(names) + 1))
+    return list(map(tuple.__new__, repeat(RankingEntry), fields))
 
 
 def top_k(ranking: Sequence[RankingEntry], k: int = 5) -> list[RankingEntry]:

@@ -6,12 +6,14 @@ comparisons align entries by reference name, never by position, so two
 profiles listing the same references in different orders are equivalent.
 
 Distances are computed in double precision; rounding happens only at display
-time.  The per-reference absolute differences are put into a canonical
-(descending) order before reduction, which makes every metric bit-exact under
-permutation of the input entries.  Aligning by name is separate from that
-reduction, so a ranking aligns its table with the target once and reduces
-plain float rows.  A distance that is not a finite double (finite inputs
-whose L1, L2 or Ln total exceeds the largest double) raises InvalidValue.
+time.  Every metric is bit-exact under permutation of the input entries:
+L_inf takes a maximum, L1 and the inner sum of Ln use the correctly rounded
+``math.fsum``, and L2, whose ``math.hypot`` depends on input order, reduces
+each row's differences in canonical (descending) order.  Aligning by name is
+separate from that reduction, so a ranking aligns its table with the target
+once and reduces whole columns of differences at a time.  A distance that is
+not a finite double (finite inputs whose L1, L2 or Ln total exceeds the
+largest double) raises InvalidValue.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import math
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from itertools import repeat, starmap
+from operator import mul, neg, truediv
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InvalidValue,
@@ -186,12 +190,23 @@ class MetricSpec:
 
     @classmethod
     def parse(cls, token: str) -> "MetricSpec":
-        """Accepts 'linf' (or 'l∞') and 'l<n>' for integer n >= 1."""
+        """Accepts 'linf' (or 'l∞') and 'l<n>' for integer n >= 1.
+
+        Raises InvalidValue for any other token.
+        """
         key = token.strip().lower()
         if key in ("linf", "l∞", "linfinity"):
             return cls.infinity()
-        if key.startswith("l") and key[1:].isdigit() and int(key[1:]) >= 1:
-            return cls.ln(int(key[1:]))
+        digits = key[1:]
+        if key.startswith("l") and digits.isdecimal():  # isdigit also admits '²'
+            try:
+                order = int(digits)
+            except ValueError:  # more digits than the interpreter's int-string limit
+                raise InvalidValue(
+                    f"metric order has too many digits ({len(digits)})"
+                ) from None
+            if order >= 1:
+                return cls.ln(order)
         raise InvalidValue(f"unknown metric {token!r}")
 
     @property
@@ -218,30 +233,51 @@ class MetricSpec:
 _HUGE_ORDER = 2**64
 
 
-def _reduce(spec: MetricSpec, diffs: Sequence[float]) -> float:
-    """Lp norm of non-empty, non-negative ``diffs`` sorted in descending order.
+# Stands in for a zero peak as a divisor: it is at most any positive double,
+# so it leaves every other row's peak unchanged.
+_TINY = 5e-324
 
-    Raises InvalidValue when the norm is not a finite double.
+
+def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]]) -> list[float]:
+    """Lp norm of each row of ``columns``.
+
+    ``columns`` holds one equal-length sequence of non-negative differences
+    per reference.  Whole columns are reduced with C-level builtins, so the
+    interpreter's cost is paid per column, not per row.  Raises InvalidValue
+    when a norm is not a finite double.
     """
     n = spec.order
-    if n is None:
-        return diffs[0]
-    if n == 1:
-        try:
-            total = math.fsum(diffs)
-        except OverflowError:
-            total = math.inf
-    elif n == 2:
-        total = math.hypot(*diffs)
-    else:
-        peak = diffs[0]
-        if peak == 0.0:
-            return 0.0
-        n = min(n, _HUGE_ORDER)
-        total = peak * math.fsum((d / peak) ** n for d in diffs) ** (1.0 / n)
-    if not math.isfinite(total):
+    if n is None or n > 2:
+        peaks = list(map(max, *columns)) if len(columns) > 1 else list(columns[0])
+        if n is None:
+            return peaks
+    try:
+        if n == 1:
+            norms = list(map(math.fsum, zip(*columns)))  # fsum needs no canonical order
+        elif n == 2:
+            # hypot depends on input order and ignores signs: sorting the
+            # negated differences ascending puts each row in descending order
+            rows = zip(*(map(neg, column) for column in columns))
+            norms = list(starmap(math.hypot, map(sorted, rows)))
+        else:
+            n = min(n, _HUGE_ORDER)
+            # an all-zero row has ratios 0.0 and norm 0.0 * 0.0 == 0.0
+            divisors = list(map(max, peaks, repeat(_TINY))) if 0.0 in peaks else peaks
+            exponent = float(n)  # what d ** n converts n to
+            powers = (map(pow, map(truediv, column, divisors), repeat(exponent))
+                      for column in columns)
+            sums = map(math.fsum, zip(*powers))
+            norms = list(map(mul, peaks, map(pow, sums, repeat(1.0 / n))))
+    except OverflowError:  # an L1 total beyond the largest double
+        norms = [math.inf]
+    if math.inf in norms:
         raise InvalidValue(f"the {spec.token} distance exceeds the largest double")
-    return total
+    return norms
+
+
+def _norm(spec: MetricSpec, diffs: Iterable[float]) -> float:
+    """Lp norm of one row of non-negative differences (see ``_norms``)."""
+    return _norms(spec, [(d,) for d in diffs])[0]
 
 
 def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
@@ -255,9 +291,7 @@ def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
     if x.unit is not y.unit:
         raise UnitMismatch(f"cannot compare a {x.unit.value} profile with a {y.unit.value} one")
     theirs = y.aligned_values(tuple(fold_name(n) for n in x.names))
-    diffs = [abs(a - b) for a, b in zip(x.values, theirs)]
-    diffs.sort(reverse=True)
-    return _reduce(spec, diffs)
+    return _norm(spec, (abs(a - b) for a, b in zip(x.values, theirs)))
 
 
 def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) -> Profile:
@@ -279,4 +313,4 @@ def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) ->
 
 def magnitude(spec: MetricSpec, p: Profile) -> float:
     """Distance from ``p`` to the all-zero profile over the same references."""
-    return _reduce(spec, sorted((abs(v) for v in p.values), reverse=True))
+    return _norm(spec, map(abs, p.values))

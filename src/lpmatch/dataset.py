@@ -4,6 +4,10 @@ The two built-in tables give the optimal-route distance from each of 24
 localities of the Campo de Montiel comarca to four reference points (Venta
 de Cárdenas, Puerto Lápice, El Toboso, Munera), one table in kilometers and
 one in hours.  Values are embedded verbatim at two decimals.
+
+A ``DistanceTable`` validates its input row by row and then stores it by
+column, one value tuple per reference, so that rankings reduce whole columns
+and a reference subset picks columns without copying rows.
 """
 
 from __future__ import annotations
@@ -104,7 +108,8 @@ def normalize_name(raw: str) -> str:
 
 
 class DistanceTable:
-    """Immutable candidate-by-reference distance matrix in a single unit."""
+    """Immutable candidate-by-reference distance matrix in a single unit,
+    stored column by column."""
 
     def __init__(
         self,
@@ -147,17 +152,17 @@ class DistanceTable:
         self._references = refs
         self._keys = keys
         self._candidates = tuple(names)
-        self._values = tuple(values)
+        self._columns = tuple(zip(*values))
         self._index = index
 
-    def _columns(self, indices: Sequence[int]) -> "DistanceTable":
+    def _project(self, indices: Sequence[int]) -> "DistanceTable":
         """The table restricted to the columns at ``indices``, without re-validating."""
         table = object.__new__(DistanceTable)
         table._unit = self._unit
         table._references = tuple(self._references[i] for i in indices)
         table._keys = tuple(self._keys[i] for i in indices)
         table._candidates = self._candidates
-        table._values = tuple(tuple(row[i] for i in indices) for row in self._values)
+        table._columns = tuple(self._columns[i] for i in indices)  # tuples are shared
         table._index = self._index  # never mutated, so it can be shared
         return table
 
@@ -174,9 +179,14 @@ class DistanceTable:
         return self._candidates
 
     @property
+    def value_columns(self) -> tuple[tuple[float, ...], ...]:
+        """One validated value tuple per reference, in reference order."""
+        return self._columns
+
+    @property
     def value_rows(self) -> tuple[tuple[float, ...], ...]:
         """One validated value tuple per candidate, in candidate order."""
-        return self._values
+        return tuple(zip(*self._columns))
 
     def aligned(self, profile: Profile) -> tuple[float, ...]:
         """``profile``'s values in this table's reference order, matched by folded name.
@@ -190,7 +200,8 @@ class DistanceTable:
         key = fold_name(normalize_name(candidate))
         if key not in self._index:
             raise KeyError(candidate)
-        return self._values[self._index[key]]
+        i = self._index[key]
+        return tuple(column[i] for column in self._columns)
 
     def row(self, candidate: str) -> Profile:
         return Profile(self._references, self.row_values(candidate), self._unit)
@@ -205,7 +216,7 @@ class DistanceTable:
             self._unit is other._unit
             and self._references == other._references
             and self._candidates == other._candidates
-            and self._values == other._values
+            and self._columns == other._columns
         )
 
     def __repr__(self) -> str:
@@ -371,4 +382,4 @@ def subset_references(table: DistanceTable, keep: Sequence[str]) -> DistanceTabl
         if key not in available:
             raise ReferenceNotFound(f"unknown reference {raw!r}")
         wanted.add(key)
-    return table._columns([i for i, key in enumerate(table._keys) if key in wanted])
+    return table._project([i for i, key in enumerate(table._keys) if key in wanted])

@@ -161,8 +161,8 @@ class RenderedTable:
 def build_dataset_table(table: DistanceTable, title: str, fmt: str = "md") -> RenderedTable:
     header = ("locality",) + tuple(f"{r} ({table.unit.short})" for r in table.references)
     rows = tuple(
-        (name,) + tuple(format_2dp(v) for v in table.row_values(name))
-        for name in table.candidates
+        (name,) + tuple(format_2dp(v) for v in values)
+        for name, values in zip(table.candidates, table.value_rows)
     )
     return RenderedTable(title, header, rows, fmt)
 

@@ -8,6 +8,7 @@ from lpmatch.analysis import (
     CLASSIC_SOLUTION,
     REFINED_SOLUTION,
     Configuration,
+    RankingEntry,
     SolutionProfile,
     gap_report,
     rank_candidates,
@@ -115,6 +116,19 @@ class TestRankCandidates:
         with pytest.raises(ReferenceMismatch, match="unmatched: munera, ruidera"):
             rank_candidates(KM, target, L2)
 
+    @pytest.mark.parametrize("metric, named", [
+        (MetricSpec.ln(3), "l2"),  # X's l3 fits, its l2 does not; Y's l3 does not
+        (LINF, "l2"),
+        (L1, "l1"),  # X's l1 is checked before its l2
+    ])
+    def test_overflow_names_the_metric_of_the_first_row_to_overflow(self, metric, named):
+        # rows are checked in table order, each row's distance before its tie-break
+        table = DistanceTable(Unit.KILOMETERS, ("a", "b", "c"),
+                              [("X", (1.3e308, 1.3e308, 1.0)), ("Y", (1.7e308,) * 3)])
+        target = Profile(("a", "b", "c"), (1.0, 1.0, 1.0), Unit.KILOMETERS)
+        with pytest.raises(InvalidValue, match=f"^the {named} distance exceeds"):
+            rank_candidates(table, target, metric)
+
     @pytest.mark.parametrize("metric", [L1, L2, MetricSpec.ln(3), LINF])
     def test_distance_beyond_the_largest_double_is_invalid(self, metric):
         # under L_inf the distances fit, but their L2 tie-break keys do not
@@ -123,6 +137,23 @@ class TestRankCandidates:
         target = Profile(("a", "b", "c"), (31.0, 62.0, 93.0), Unit.KILOMETERS)
         with pytest.raises(InvalidValue, match="exceeds the largest double"):
             rank_candidates(table, target, metric)
+
+
+class TestRankingEntry:
+    def test_fields_equality_and_repr(self):
+        entry = rank_candidates(KM, KM.row("Carrizosa"), L2)[0]
+        assert entry == RankingEntry("Carrizosa", 0.0, 1)
+        assert entry == ("Carrizosa", 0.0, 1)  # also a plain tuple
+        assert (entry.candidate, entry.distance, entry.rank) == ("Carrizosa", 0.0, 1)
+        assert type(entry) is RankingEntry
+        assert repr(entry) == "RankingEntry(candidate='Carrizosa', distance=0.0, rank=1)"
+
+    def test_immutable(self):
+        entry = RankingEntry("X", 1.5, 1)
+        with pytest.raises(AttributeError):
+            entry.rank = 2
+        assert entry == RankingEntry("X", 1.5, 1)
+        assert hash(entry) == hash(RankingEntry("X", 1.5, 1))
 
 
 class TestTopK:

@@ -79,6 +79,15 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert "l0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["l²", "l" + "9" * 5000])
+    def test_metric_int_cannot_read_exits_2_with_an_error_line(self, capsys, token):
+        with pytest.raises(SystemExit) as info:
+            run(["rank", "--metric", token])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --metric: unknown metric" in err
+        assert "Traceback" not in err
+
     def test_unknown_exclude_reference(self, capsys):
         code, _, err = invoke(capsys, "rank", "--exclude", "El Dorado")
         assert code == 2

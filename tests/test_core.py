@@ -114,6 +114,12 @@ class TestMetricSpec:
         with pytest.raises(InvalidValue):
             MetricSpec.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["l²", "l1²", "l" + "9" * 5000])
+    def test_parse_rejects_what_int_cannot_read(self, bad):
+        # '²' passes str.isdigit; 5,000 digits exceed the int-string limit
+        with pytest.raises(InvalidValue):
+            MetricSpec.parse(bad)
+
     def test_order_must_be_positive_integer(self):
         with pytest.raises(InvalidValue):
             MetricSpec.ln(0)

@@ -2,15 +2,18 @@
 
 Profile values are drawn from the 0.01 grid in [0, 200], mirroring the
 resolution of the real data; exact ties are therefore common and exercise
-the tie-sensitive code paths.
+the tie-sensitive code paths.  The batch reducer is also checked on
+differences up to 1.7e308, where norms overflow.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpmatch.core import MetricSpec, Profile, Unit, convert, metric_distance
+from lpmatch.core import MetricSpec, Profile, Unit, _norm, _norms, convert, metric_distance
+from lpmatch.errors import InvalidValue
 
 METRICS = [MetricSpec.infinity()] + [MetricSpec.ln(n) for n in (1, 2, 3, 4, 5)]
 
@@ -132,3 +135,56 @@ def test_convert_is_entrywise_linear(values):
     assert hours.values == tuple(v * 10.0 for v in p.values)
     zero = p.zeroed()
     assert convert(zero, Unit.KILOMETERS).values == (0.0,) * 4
+
+
+def oracle_row_norm(order, row):
+    """One row's Lp norm, written out over the row sorted descending;
+    math.inf when it is not a finite double."""
+    diffs = sorted(row, reverse=True)
+    if order is None:
+        return diffs[0]
+    if order == 1:
+        try:
+            return math.fsum(diffs)
+        except OverflowError:
+            return math.inf
+    if order == 2:
+        return math.hypot(*diffs)
+    peak = diffs[0]
+    if peak == 0.0:
+        return 0.0
+    return peak * math.fsum((d / peak) ** order for d in diffs) ** (1.0 / order)
+
+
+@st.composite
+def difference_columns(draw):
+    n_refs = draw(st.integers(min_value=1, max_value=5))
+    n_rows = draw(st.integers(min_value=1, max_value=8))
+    value = st.one_of(
+        st.just(0.0),
+        st.integers(min_value=0, max_value=20000).map(lambda k: k / 100.0),
+        st.floats(min_value=0.0, max_value=1.7e308),
+    )
+    rows = [draw(st.lists(value, min_size=n_refs, max_size=n_refs)) for _ in range(n_rows)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(min_value=0, max_value=n_rows - 1))] = [0.0] * n_refs
+    order = draw(st.permutations(range(n_refs)))
+    return rows, [[row[i] for row in rows] for i in order]
+
+
+@pytest.mark.parametrize("order", [None, 1, 2, 3, 40, 2**64 + 1],
+                         ids=lambda n: MetricSpec(n).token[:8])
+@given(difference_columns())
+@settings(max_examples=150, deadline=None)
+def test_batch_reducer_equals_a_per_row_oracle(order, data):
+    """_norms over (permuted) columns equals, under ==, each row's norm from
+    the written-out formulas, or raises InvalidValue when one is not finite."""
+    rows, columns = data
+    expected = [oracle_row_norm(order, row) for row in rows]
+    spec = MetricSpec(order)
+    if math.inf in expected:
+        with pytest.raises(InvalidValue, match=f"the {spec.token} distance"):
+            _norms(spec, columns)
+    else:
+        assert _norms(spec, columns) == expected
+        assert [_norm(spec, row) for row in rows] == expected

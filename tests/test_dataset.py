@@ -212,6 +212,29 @@ class TestSubsetReferences:
             sub.row_values("El Dorado")
 
 
+class TestColumnStorage:
+    TABLE = DistanceTable(Unit.KILOMETERS, ("a", "b", "c"),
+                          [("X", (1.0, 2.0, 3.0)), ("Y", (4.0, 5.0, 6.0))])
+
+    def test_columns_and_rows_are_transposes(self):
+        assert self.TABLE.value_columns == ((1.0, 4.0), (2.0, 5.0), (3.0, 6.0))
+        assert self.TABLE.value_rows == ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+        assert self.TABLE.row_values(" y ") == (4.0, 5.0, 6.0)
+
+    def test_subset_picks_whole_columns(self):
+        sub = subset_references(self.TABLE, ("C", "a"))
+        assert sub.value_columns == ((1.0, 4.0), (3.0, 6.0))
+        assert sub.value_rows == ((1.0, 3.0), (4.0, 6.0))
+        assert sub.value_columns[1] is self.TABLE.value_columns[2]  # shared, not copied
+
+    def test_equality_reads_the_values(self):
+        other = DistanceTable(Unit.KILOMETERS, ("a", "b", "c"),
+                              [("X", (1.0, 2.0, 3.0)), ("Y", (4.0, 5.0, 6.5))])
+        assert self.TABLE != other
+        assert self.TABLE == DistanceTable(Unit.KILOMETERS, ("A", "B", "C"),
+                                           [("x", (1, 2, 3)), ("y", (4, 5, 6))])
+
+
 class TestDistanceTableValidation:
     def test_wrong_arity(self):
         with pytest.raises(InvalidValue):
@@ -268,6 +291,7 @@ def test_subset_equals_a_table_built_afresh(table, data):
     sub = subset_references(table, [ref.upper() for ref in keep])
     assert sub == fresh
     assert sub.value_rows == fresh.value_rows
+    assert sub.value_columns == fresh.value_columns
     for name in table.candidates:
         assert sub.row_values(f" {name.upper()} ") == fresh.row_values(name)
         assert sub.row(name) == fresh.row(name)
