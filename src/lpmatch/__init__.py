@@ -42,7 +42,6 @@ from .core import (
 )
 from .dataset import (
     REFERENCES,
-    CanonicalName,
     DistanceTable,
     builtin_table,
     normalize_name,

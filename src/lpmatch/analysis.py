@@ -150,6 +150,8 @@ class SweepResult:
     ranking: tuple[RankingEntry, ...]
     errors: tuple[float, ...]  # relative error (%) aligned with ranking
     gaps: GapReport  # shared by the three metric configurations of a family
+    table: DistanceTable  # the family's table, restricted to its references
+    target: Profile  # the solution converted to the table's unit and references
 
 
 def target_profile(
@@ -266,7 +268,6 @@ def sweep(
     reference_subsets: Sequence[Sequence[str]],
     metrics: Sequence[MetricSpec],
     *,
-    tables: Mapping[Unit, DistanceTable] | None = None,
     rates: ConversionRates = DEFAULT_RATES,
 ) -> dict[Configuration, SweepResult]:
     """Evaluate the full cross-product of configurations, deterministically.
@@ -274,25 +275,22 @@ def sweep(
     Results are keyed by Configuration in a fixed iteration order (solution,
     then reference subset, then unit, then metric).  The gap report attached
     to each result is the one of its (solution, subset, unit) family and is
-    always computed over the standard L_inf/L_1/L_2 family.
+    always computed over the standard L_inf/L_1/L_2 family.  Each result
+    also carries the family's restricted built-in table and converted target.
     """
-    if tables is None:
-        tables = {
-            Unit.KILOMETERS: builtin_table(Unit.KILOMETERS),
-            Unit.HOURS: builtin_table(Unit.HOURS),
-        }
     results: dict[Configuration, SweepResult] = {}
     for solution in solutions:
         for refs in reference_subsets:
             for unit in units:
-                restricted = subset_references(tables[unit], refs)
+                restricted = subset_references(builtin_table(unit), refs)
                 target = target_profile(solution, unit, restricted.references, rates)
                 rankings, scales, family_gaps = _rank_family(restricted, target, metrics)
                 for metric in metrics:
                     ranking = rankings[metric]
                     errors = tuple(_percent(entry.distance, scales[metric]) for entry in ranking)
                     config = Configuration(solution, unit, restricted.references, metric)
-                    results[config] = SweepResult(ranking, errors, family_gaps)
+                    results[config] = SweepResult(ranking, errors, family_gaps,
+                                                  restricted, target)
     return results
 
 

@@ -139,6 +139,8 @@ def _load_table(args: argparse.Namespace) -> DistanceTable:
         text = Path(source).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read data file {source!r}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8 text, or a NUL in the path
+        raise _UsageError(f"cannot read data file {source!r}: {exc}") from None
     try:
         unit = Unit.parse(args.unit)
     except InvalidValue:
@@ -194,10 +196,9 @@ def _prepare(args: argparse.Namespace):
 def _cmd_rank(args: argparse.Namespace) -> str:
     table, solution, target = _prepare(args)
     ranking = analysis.rank_candidates(table, target, args.metric)
-    title = (f"{args.metric.label} distances to the {solution.label} target "
-             f"({table.unit.short}, {len(table.references)} references)")
     doc = report.build_ranking_table(
-        table, target, ranking, args.metric, k=args.top, fmt=args.format, title=title
+        table, target, ranking, args.metric, k=args.top, fmt=args.format,
+        title=report.ranking_title(args.metric, solution, table),
     )
     return doc.text()
 
@@ -222,27 +223,11 @@ def _cmd_gaps(args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    results = analysis.run_builtin_grid()
-    chunks = []
-    for config, result in results.items():
-        restricted = subset_references(builtin_table(config.unit), config.references)
-        target = analysis.target_profile(config.solution, config.unit, config.references)
-        title = (f"{config.metric.label} distances to the {config.solution.label} "
-                 f"target ({config.unit.short}, {len(config.references)} references)")
-        chunks.append(
-            report.build_ranking_table(
-                restricted, target, result.ranking, config.metric,
-                k=5, fmt=args.format, title=title,
-            ).text()
-        )
-    chunks.append(report.build_error_table(results, fmt=args.format).text())
-    chunks.append(report.build_gap_table(results, fmt=args.format).text())
-    summary = analysis.summarize_conclusions(results)
-    chunks.append(report.build_summary_table(summary, fmt=args.format).text())
+    documents = report.build_document_set(analysis.run_builtin_grid(), args.format)
     # markdown documents read better separated by a blank line; csv and jsonl
     # must stay gap-free streams
     separator = "\n" if args.format == "md" else ""
-    return separator.join(chunks)
+    return separator.join(doc.text() for doc in documents.values())
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -32,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "REFERENCES",
-    "CanonicalName",
     "DistanceTable",
     "builtin_table",
     "normalize_name",
@@ -73,25 +71,8 @@ _LOCALITIES = (
 # "Fuencollana" is an accepted alternate spelling of the locality Fuenllana.
 _ALIASES = {"Fuencollana": "Fuenllana"}
 
-
-@dataclass(frozen=True)
-class CanonicalName:
-    """A canonical spelling together with the raw spellings it absorbs."""
-
-    canonical: str
-    aliases: tuple[str, ...] = ()
-
-
-CANONICAL_NAMES = tuple(
-    CanonicalName(name, tuple(a for a, c in _ALIASES.items() if c == name))
-    for name in _LOCALITIES + REFERENCES
-)
-
-_CANONICAL_BY_KEY = {
-    fold_name(spelling): record.canonical
-    for record in CANONICAL_NAMES
-    for spelling in (record.canonical, *record.aliases)
-}
+_CANONICAL_BY_KEY = {fold_name(name): name for name in _LOCALITIES + REFERENCES}
+_CANONICAL_BY_KEY.update((fold_name(alias), name) for alias, name in _ALIASES.items())
 
 
 def normalize_name(raw: str) -> str:
@@ -307,6 +288,15 @@ def _sniff_delimiter(text: str) -> str:
     return ","
 
 
+def _records(reader):
+    """The records of a csv reader; malformed csv (such as a field over the
+    csv module's size limit) raises ParseError at the line reached."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
+
+
 def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTable:
     """Parse delimiter-separated text (comma, semicolon or tab) into a table.
 
@@ -327,7 +317,7 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     header: list[str] | None = None
     rows: list[tuple[str, tuple[float, ...]]] = []
-    for record in reader:
+    for record in _records(reader):
         line = reader.line_num
         if not any(cell.strip() for cell in record):
             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -19,15 +20,15 @@ from .analysis import (
     GapReport,
     GridSummary,
     RankingEntry,
+    SolutionProfile,
     SweepResult,
     relative_error_percent,
     run_builtin_grid,
     summarize_conclusions,
-    target_profile,
     top_k,
 )
 from .core import DEFAULT_RATES, ConversionRates, MetricSpec, Profile, Unit
-from .dataset import DistanceTable, builtin_table, subset_references
+from .dataset import DistanceTable, builtin_table
 from .errors import InvalidValue
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "EXTERNAL_ERROR_ROWS",
     "RenderedTable",
     "format_2dp",
+    "ranking_title",
     "build_dataset_table",
     "build_ranking_table",
     "build_error_listing",
@@ -44,6 +46,7 @@ __all__ = [
     "build_error_table",
     "build_gap_table",
     "build_summary_table",
+    "build_document_set",
     "write_document_set",
 ]
 
@@ -167,6 +170,12 @@ def build_dataset_table(table: DistanceTable, title: str, fmt: str = "md") -> Re
     return RenderedTable(title, header, rows, fmt)
 
 
+def ranking_title(metric: MetricSpec, solution: SolutionProfile, table: DistanceTable) -> str:
+    """Title of a ranking of ``table``'s candidates against ``solution``."""
+    return (f"{metric.label} distances to the {solution.label} target "
+            f"({table.unit.short}, {len(table.references)} references)")
+
+
 def build_ranking_table(
     table: DistanceTable,
     target: Profile,
@@ -244,7 +253,6 @@ def build_gap_listing(gaps: GapReport, fmt: str = "md", title: str | None = None
 def build_error_table(
     results: Mapping[Configuration, SweepResult],
     fmt: str = "md",
-    include_external: bool = True,
 ) -> RenderedTable:
     """Three closest candidates with relative errors, one row per configuration.
 
@@ -255,14 +263,13 @@ def build_error_table(
               "locality 2", "error 2 (%)",
               "locality 3", "error 3 (%)")
     rows: list[tuple[str, ...]] = []
-    if include_external:
-        for ext in EXTERNAL_ERROR_ROWS:
-            cells: list[str] = [ext.source]
-            for name, pct in ext.entries:
-                cells.extend((name, format_2dp(pct)))
-            while len(cells) < len(header):
-                cells.append("")
-            rows.append(tuple(cells))
+    for ext in EXTERNAL_ERROR_ROWS:
+        cells: list[str] = [ext.source]
+        for name, pct in ext.entries:
+            cells.extend((name, format_2dp(pct)))
+        while len(cells) < len(header):
+            cells.append("")
+        rows.append(tuple(cells))
     for config, result in results.items():
         cells = [config.label]
         for entry, error in zip(result.ranking[:3], result.errors[:3]):
@@ -281,20 +288,18 @@ def build_error_table(
 def build_gap_table(
     results: Mapping[Configuration, SweepResult],
     fmt: str = "md",
-    include_external: bool = True,
 ) -> RenderedTable:
     """Second-minus-first relative-error gap rows with per-family means."""
     header = ("configuration", "second minus first (%)", "family mean (%)")
     rows: list[tuple[str, ...]] = []
-    if include_external:
-        for ext in EXTERNAL_ERROR_ROWS:
-            if ext.gap is None:
-                continue
-            rows.append((
-                ext.source,
-                format_2dp(ext.gap),
-                format_2dp(ext.mean) if ext.mean is not None else "",
-            ))
+    for ext in EXTERNAL_ERROR_ROWS:
+        if ext.gap is None:
+            continue
+        rows.append((
+            ext.source,
+            format_2dp(ext.gap),
+            format_2dp(ext.mean) if ext.mean is not None else "",
+        ))
     seen: set[tuple[str, str, int]] = set()
     for config, result in results.items():
         family = config.key[:3]
@@ -346,6 +351,35 @@ _FAMILY_DOC_NUMBERS = (
 )
 
 
+def build_document_set(
+    results: Mapping[Configuration, SweepResult], fmt: str = "md"
+) -> dict[str, RenderedTable]:
+    """The result documents of the full built-in grid, keyed by file stem.
+
+    In table order: the 24 ranking documents at their conventional numbers
+    (table_02..table_26, skipping the dataset number 5), the error
+    comparison (table_27), the gap analysis (table_28) and the summary.
+    Raises InvalidValue unless ``results`` holds all 24 configurations.
+    """
+    if len(results) != 24:
+        raise InvalidValue(
+            "document numbering expects the full builtin grid of 24 configurations, "
+            f"got {len(results)}"
+        )
+    documents = {
+        f"table_{number:02d}": build_ranking_table(
+            result.table, result.target, result.ranking, config.metric, k=5, fmt=fmt,
+            title=ranking_title(config.metric, config.solution, result.table),
+        )
+        for number, (config, result) in zip(chain.from_iterable(_FAMILY_DOC_NUMBERS),
+                                            results.items())
+    }
+    documents["table_27"] = build_error_table(results, fmt)
+    documents["table_28"] = build_gap_table(results, fmt)
+    documents["summary"] = build_summary_table(summarize_conclusions(results), fmt)
+    return documents
+
+
 def write_document_set(
     outdir: str | Path,
     fmt: str = "md",
@@ -353,47 +387,19 @@ def write_document_set(
 ) -> list[Path]:
     """Write the complete built-in analysis to ``outdir``; byte-stable.
 
-    Emits the two dataset documents (table_01, table_05), the 24 ranking
-    documents (table_02..table_26 at their conventional numbers), the error
-    comparison (table_27), the gap analysis (table_28) and a summary
-    document.  Returns the written paths in name order.
+    Emits the two dataset documents (table_01, table_05) and the result
+    documents of ``build_document_set``.  Returns the written paths in name
+    order.
     """
-    if fmt not in FORMATS:
-        raise InvalidValue(f"unknown format {fmt!r}")
+    documents = build_document_set(run_builtin_grid(rates), fmt)
+    documents["table_01"] = build_dataset_table(
+        builtin_table(Unit.KILOMETERS), "Candidate distances in kilometers", fmt
+    )
+    documents["table_05"] = build_dataset_table(
+        builtin_table(Unit.HOURS), "Candidate distances in hours", fmt
+    )
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    results = run_builtin_grid(rates)
-    documents: dict[str, RenderedTable] = {
-        "table_01": build_dataset_table(
-            builtin_table(Unit.KILOMETERS), "Candidate distances in kilometers", fmt
-        ),
-        "table_05": build_dataset_table(
-            builtin_table(Unit.HOURS), "Candidate distances in hours", fmt
-        ),
-    }
-
-    grid = list(results.items())
-    if len(grid) != 24:
-        raise InvalidValue(
-            "document numbering expects the full builtin grid of 24 configurations, "
-            f"got {len(grid)}"
-        )
-    for family_index, numbers in enumerate(_FAMILY_DOC_NUMBERS):
-        for metric_index, number in enumerate(numbers):
-            config, result = grid[family_index * 3 + metric_index]
-            restricted = subset_references(builtin_table(config.unit), config.references)
-            target = target_profile(config.solution, config.unit, config.references, rates)
-            title = (f"{config.metric.label} distances to the {config.solution.label} "
-                     f"target ({config.unit.short}, {len(config.references)} references)")
-            documents[f"table_{number:02d}"] = build_ranking_table(
-                restricted, target, result.ranking, config.metric, k=5, fmt=fmt, title=title
-            )
-
-    documents["table_27"] = build_error_table(results, fmt)
-    documents["table_28"] = build_gap_table(results, fmt)
-    documents["summary"] = build_summary_table(summarize_conclusions(results), fmt)
-
     written = []
     for stem in sorted(documents):
         path = outdir / f"{stem}.{fmt}"

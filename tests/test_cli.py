@@ -113,6 +113,14 @@ class TestUsageErrors:
         assert code == 2
         assert "nope.csv" in err
 
+    def test_non_utf8_file_exits_2_with_an_error_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"name;a\nX;1,0\n\xff;2,0\n")
+        code, out, err = invoke(capsys, "rank", "--data", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read data file") and "latin1.csv" in err
+        assert "Traceback" not in err
+
     def test_bad_literal_solution(self, capsys):
         code, _, err = invoke(capsys, "rank", "--solution", "fastest")
         assert code == 2
@@ -164,6 +172,13 @@ class TestFileData:
         code, _, err = invoke(capsys, "rank", "--data", str(path))
         assert code == 1
         assert "error:" in err
+
+    def test_field_over_the_csv_size_limit_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("name,a\nX,1\nY," + "1" * 200_000 + "\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "rank", "--data", str(path), "--solution", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: field larger than field limit")
 
     def test_builtin_solution_against_mismatched_file_exits_1(self, capsys, tmp_path):
         path = self.write_sample(tmp_path)

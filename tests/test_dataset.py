@@ -152,6 +152,17 @@ class TestParseTable:
         with pytest.raises(InvalidValue):
             parse_table("name,a\nX,1\n", unit=Unit.KILOMETERS, decimal="binary")
 
+    def test_field_over_the_csv_size_limit_reports_its_line(self):
+        text = "name,a\nX,1\nY," + "1" * 200_000 + "\n"
+        with pytest.raises(ParseError, match="field larger than field limit") as info:
+            parse_table(text, unit=Unit.KILOMETERS)
+        assert info.value.line == 3
+
+    def test_carriage_return_inside_a_field_is_a_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_table("name,a\nX,1\rY,2\n", unit=Unit.KILOMETERS)
+        assert info.value.line == 2
+
 
 class TestSerializeRoundTrip:
     def test_builtin_km_round_trips_exactly(self):
