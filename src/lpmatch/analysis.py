@@ -16,7 +16,7 @@ distance or relative error that is not a finite double raises InvalidValue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import sub
 from typing import Mapping, NamedTuple, Sequence
@@ -27,6 +27,7 @@ from .core import (
     MetricSpec,
     Profile,
     Unit,
+    _Checked,
     _norm,
     _norms,
     convert,
@@ -68,12 +69,10 @@ STANDARD_METRICS = (MetricSpec.infinity(), MetricSpec.ln(1), MetricSpec.ln(2))
 _L2 = MetricSpec.ln(2)  # breaks exact distance ties
 
 
-@dataclass(frozen=True)
-class SolutionProfile:
+class SolutionProfile(_Checked, namedtuple("SolutionProfile", "label jornadas")):
     """A named target profile, always expressed in jornadas."""
 
-    label: str
-    jornadas: Profile
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.jornadas.unit is not Unit.JORNADAS:
@@ -97,17 +96,16 @@ class RankingEntry(NamedTuple):
     rank: int
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Checked, namedtuple("Configuration", "solution unit references metric")):
     """One cell of the analysis grid."""
 
-    solution: SolutionProfile
-    unit: Unit
-    references: tuple[str, ...]
-    metric: MetricSpec
+    __slots__ = ()
+
+    def __new__(cls, solution: SolutionProfile, unit: Unit, references: Sequence[str],
+                metric: MetricSpec) -> "Configuration":
+        return super().__new__(cls, solution, unit, tuple(references), metric)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "references", tuple(self.references))
         if self.unit is Unit.JORNADAS:
             raise UnitMismatch("data tables exist in kilometers and hours, not jornadas")
         if not self.references:
@@ -127,8 +125,7 @@ class Configuration:
         return f"{self.family_label} {self.metric.label}"
 
 
-@dataclass(frozen=True)
-class GapRecord:
+class GapRecord(NamedTuple):
     metric: MetricSpec
     first: str
     first_error: float
@@ -137,16 +134,14 @@ class GapRecord:
     gap: float
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Top-two relative-error gaps per metric, with their arithmetic mean."""
 
     records: tuple[GapRecord, ...]
     mean_gap: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     ranking: tuple[RankingEntry, ...]
     errors: tuple[float, ...]  # relative error (%) aligned with ranking
     gaps: GapReport  # shared by the three metric configurations of a family
@@ -308,8 +303,7 @@ def run_builtin_grid(rates: ConversionRates = DEFAULT_RATES) -> dict[Configurati
     )
 
 
-@dataclass(frozen=True)
-class FamilyStats:
+class FamilyStats(NamedTuple):
     """Aggregates for one (solution, unit, reference subset) family."""
 
     label: str
@@ -320,8 +314,7 @@ class FamilyStats:
     mean_top_error: float  # mean over the metrics of the winner's relative error
 
 
-@dataclass(frozen=True)
-class GridSummary:
+class GridSummary(NamedTuple):
     """Machine-checkable conclusions drawn from a full grid sweep."""
 
     top_candidates: tuple[tuple[Configuration, str], ...]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import repeat, starmap
 from operator import mul, neg, truediv
@@ -78,12 +78,33 @@ def fold_name(name: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
-@dataclass(frozen=True)
-class ConversionRates:
+class _Checked(tuple):
+    """Base of the immutable records whose fields are checked.
+
+    Each such record is a ``collections.namedtuple`` subclass listing this
+    class first.  Construction runs the record's ``__post_init__`` exactly
+    once, after its ``__new__`` has coerced the fields; ``_make``, and with
+    it ``_replace``, goes through the constructor, so no route builds an
+    unchecked record.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ConversionRates(_Checked, namedtuple("ConversionRates", "km_per_jornada hours_per_jornada",
+                                           defaults=(31.0, 10.0))):
     """Travel-speed constants used to leave the jornada unit."""
 
-    km_per_jornada: float = 31.0
-    hours_per_jornada: float = 10.0
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         for label, rate in (("km_per_jornada", self.km_per_jornada),
@@ -95,17 +116,15 @@ class ConversionRates:
 DEFAULT_RATES = ConversionRates()
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Checked, namedtuple("Profile", "names values unit")):
     """An ordered, reference-keyed vector of non-negative distances."""
 
-    names: tuple[str, ...]
-    values: tuple[float, ...]
-    unit: Unit
+    __slots__ = ()
+
+    def __new__(cls, names: Iterable[str], values: Iterable[float], unit: Unit) -> "Profile":
+        return super().__new__(cls, tuple(map(str, names)), tuple(map(float, values)), unit)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(str(n) for n in self.names))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not isinstance(self.unit, Unit):
             raise InvalidValue(f"profile unit must be a Unit, got {self.unit!r}")
         if not self.names:
@@ -162,8 +181,7 @@ class Profile:
         return Profile(self.names, (0.0,) * len(self.values), self.unit)
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(_Checked, namedtuple("MetricSpec", "order", defaults=(None,))):
     """Selects a member of the Lp family.
 
     ``order=None`` selects the maximum (L-infinity) metric; an integer
@@ -171,14 +189,19 @@ class MetricSpec:
     approximation by a large n.
     """
 
-    order: int | None = None
+    __slots__ = ()
+
+    def __new__(cls, order: int | None = None) -> "MetricSpec":
+        self = super().__new__(cls, order)  # checks the order as given
+        if order is None or type(order) is int:
+            return self
+        return tuple.__new__(cls, (int(order),))  # an integral float, bool, ...
 
     def __post_init__(self) -> None:
         if self.order is not None:
             order = int(self.order)
             if order != self.order or order < 1:
                 raise InvalidValue(f"metric order must be an integer >= 1, got {self.order!r}")
-            object.__setattr__(self, "order", order)
 
     @classmethod
     def infinity(cls) -> "MetricSpec":

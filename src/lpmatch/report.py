@@ -8,12 +8,11 @@ from zero; all underlying computation stays at full precision.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .analysis import (
     Configuration,
@@ -27,7 +26,7 @@ from .analysis import (
     summarize_conclusions,
     top_k,
 )
-from .core import DEFAULT_RATES, ConversionRates, MetricSpec, Profile, Unit
+from .core import DEFAULT_RATES, ConversionRates, MetricSpec, Profile, Unit, _Checked
 from .dataset import DistanceTable, builtin_table
 from .errors import InvalidValue
 
@@ -67,8 +66,7 @@ def format_2dp(x: float) -> str:
         return str(Decimal(repr(float(x))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class ExternalResultRow:
+class ExternalResultRow(NamedTuple):
     """A comparison row carried verbatim from earlier published analyses.
 
     These values are compiled-in constants and are never recomputed.
@@ -105,14 +103,11 @@ EXTERNAL_ERROR_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class RenderedTable:
+class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows fmt",
+                                         defaults=("md",))):
     """A titled table of already-formatted cells plus its output format."""
 
-    title: str
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    fmt: str = "md"
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.fmt not in FORMATS:
@@ -147,11 +142,16 @@ class RenderedTable:
         return out.getvalue()
 
     def _records(self) -> str:
+        import json
+        import re
+
+        # only a plain decimal literal becomes a number, so a name such as
+        # 'nan', 'Infinity', '1e5' or '1_0' stays a string and every line is
+        # strict JSON
+        plain_decimal = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+
         def cell_value(cell: str):
-            try:
-                return float(cell)
-            except ValueError:
-                return cell
+            return float(cell) if plain_decimal.fullmatch(cell) else cell
 
         lines = [json.dumps({"title": self.title, "columns": list(self.header)},
                             ensure_ascii=False)]

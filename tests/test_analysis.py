@@ -1,4 +1,6 @@
 import math
+import pickle
+from typing import NamedTuple
 
 import pytest
 
@@ -8,8 +10,13 @@ from lpmatch.analysis import (
     CLASSIC_SOLUTION,
     REFINED_SOLUTION,
     Configuration,
+    FamilyStats,
+    GapRecord,
+    GapReport,
+    GridSummary,
     RankingEntry,
     SolutionProfile,
+    SweepResult,
     gap_report,
     rank_candidates,
     relative_error_percent,
@@ -19,8 +26,9 @@ from lpmatch.analysis import (
     target_profile,
     top_k,
 )
-from lpmatch.core import MetricSpec, Profile, Unit
+from lpmatch.core import ConversionRates, MetricSpec, Profile, Unit
 from lpmatch.dataset import REFERENCES, DistanceTable, builtin_table, subset_references
+from lpmatch.report import ExternalResultRow, RenderedTable
 from lpmatch.errors import (
     DegenerateTarget,
     InsufficientCandidates,
@@ -344,3 +352,203 @@ class TestSummarizeConclusions:
 
     def test_eight_families(self, summary):
         assert len(summary.families) == 8
+
+
+class RecordCase(NamedTuple):
+    cls: type
+    fields: dict  # keyword construction, in field order
+    expected_repr: str
+    defaults: dict = {}  # the fields that may be left out, with their values
+    coercions: tuple = ()  # (field overrides, field, stored value)
+    invalid: tuple = ()  # (field overrides, error type, message pattern)
+
+
+_PROFILE = Profile(("a", "b"), (1.0, 2.0), Unit.JORNADAS)
+_PROFILE_REPR = "Profile(names=('a', 'b'), values=(1.0, 2.0), unit=<Unit.JORNADAS: 'jornadas'>)"
+_SOLUTION = SolutionProfile("s", _PROFILE)
+_SOLUTION_REPR = f"SolutionProfile(label='s', jornadas={_PROFILE_REPR})"
+_CONFIG = Configuration(_SOLUTION, Unit.KILOMETERS, ("a",), MetricSpec(2))
+_CONFIG_REPR = (f"Configuration(solution={_SOLUTION_REPR}, unit=<Unit.KILOMETERS: 'kilometers'>, "
+                "references=('a',), metric=MetricSpec(order=2))")
+_GAP = GapRecord(MetricSpec(1), "A", 1.5, "B", 2.0, 0.5)
+_GAP_REPR = ("GapRecord(metric=MetricSpec(order=1), first='A', first_error=1.5, "
+             "second='B', second_error=2.0, gap=0.5)")
+_FAMILY = FamilyStats("f", "s", Unit.HOURS, ("a",), 0.5, 1.25)
+_FAMILY_REPR = ("FamilyStats(label='f', solution='s', unit=<Unit.HOURS: 'hours'>, "
+                "references=('a',), mean_gap=0.5, mean_top_error=1.25)")
+_TARGET_KM = Profile(("a",), (31.0,), Unit.KILOMETERS)
+
+RECORD_CASES = [
+    RecordCase(
+        ConversionRates, {"km_per_jornada": 31.0, "hours_per_jornada": 10.0},
+        "ConversionRates(km_per_jornada=31.0, hours_per_jornada=10.0)",
+        defaults={"km_per_jornada": 31.0, "hours_per_jornada": 10.0},
+        invalid=(({"km_per_jornada": 0.0}, InvalidValue,
+                  r"^km_per_jornada must be finite and > 0, got 0\.0$"),
+                 ({"hours_per_jornada": math.inf}, InvalidValue,
+                  r"^hours_per_jornada must be finite and > 0, got inf$")),
+    ),
+    RecordCase(
+        Profile, {"names": ("a", "b"), "values": (1.0, 2.0), "unit": Unit.JORNADAS},
+        _PROFILE_REPR,
+        coercions=(({"names": ["a", 2]}, "names", ("a", "2")),
+                   ({"values": [1, "2.5"]}, "values", (1.0, 2.5))),
+        invalid=(({"values": (1.0, -1.0)}, InvalidValue,
+                  r"^distance for 'b' must be finite and >= 0, got -1\.0$"),
+                 ({"names": ("a", " A ")}, InvalidValue,
+                  r"^reference names must be unique after normalization$"),
+                 ({"names": ("a", " ")}, InvalidValue, r"^blank reference name in profile$"),
+                 ({"values": (1.0,)}, InvalidValue,
+                  r"^a profile needs exactly one value per reference name$"),
+                 ({"names": (), "values": ()}, InvalidValue,
+                  r"^a profile needs at least one entry$"),
+                 ({"unit": "jornadas"}, InvalidValue,
+                  r"^profile unit must be a Unit, got 'jornadas'$")),
+    ),
+    RecordCase(
+        MetricSpec, {"order": 2}, "MetricSpec(order=2)",
+        defaults={"order": None},
+        coercions=(({"order": 3.0}, "order", 3), ({"order": True}, "order", 1)),
+        invalid=(({"order": 0}, InvalidValue, r"^metric order must be an integer >= 1, got 0$"),
+                 ({"order": 2.5}, InvalidValue, r"got 2\.5$"),
+                 ({"order": 0.0}, InvalidValue, r"got 0\.0$")),
+    ),
+    RecordCase(
+        SolutionProfile, {"label": "s", "jornadas": _PROFILE}, _SOLUTION_REPR,
+        invalid=(({"jornadas": _TARGET_KM}, UnitMismatch,
+                  r"^a solution profile must be expressed in jornadas$"),),
+    ),
+    RecordCase(
+        Configuration,
+        {"solution": _SOLUTION, "unit": Unit.KILOMETERS, "references": ("a",),
+         "metric": MetricSpec(2)},
+        _CONFIG_REPR,
+        coercions=(({"references": ["a", "b"]}, "references", ("a", "b")),),
+        invalid=(({"references": []}, InvalidValue,
+                  r"^a configuration needs at least one reference$"),
+                 ({"unit": Unit.JORNADAS}, UnitMismatch,
+                  r"^data tables exist in kilometers and hours, not jornadas$")),
+    ),
+    RecordCase(
+        GapRecord,
+        {"metric": MetricSpec(1), "first": "A", "first_error": 1.5, "second": "B",
+         "second_error": 2.0, "gap": 0.5},
+        _GAP_REPR,
+    ),
+    RecordCase(
+        GapReport, {"records": (_GAP,), "mean_gap": 0.5},
+        f"GapReport(records=({_GAP_REPR},), mean_gap=0.5)",
+    ),
+    RecordCase(
+        SweepResult,
+        {"ranking": (RankingEntry("A", 1.0, 1),), "errors": (2.0,),
+         "gaps": GapReport((_GAP,), 0.5),
+         "table": DistanceTable(Unit.KILOMETERS, ("a",), [("A", (1.0,))]),
+         "target": _TARGET_KM},
+        "SweepResult(ranking=(RankingEntry(candidate='A', distance=1.0, rank=1),), "
+        f"errors=(2.0,), gaps=GapReport(records=({_GAP_REPR},), mean_gap=0.5), "
+        "table=DistanceTable(1 candidates x 1 references, kilometers), "
+        "target=Profile(names=('a',), values=(31.0,), unit=<Unit.KILOMETERS: 'kilometers'>))",
+    ),
+    RecordCase(
+        FamilyStats,
+        {"label": "f", "solution": "s", "unit": Unit.HOURS, "references": ("a",),
+         "mean_gap": 0.5, "mean_top_error": 1.25},
+        _FAMILY_REPR,
+    ),
+    RecordCase(
+        GridSummary,
+        {"top_candidates": ((_CONFIG, "A"),), "families": (_FAMILY,),
+         "lowest_error_family": _FAMILY, "highest_mean_gap_family": _FAMILY,
+         "lowest_mean_gap_family": _FAMILY, "unit_pairs_agree": True,
+         "disagreeing_pairs": ()},
+        f"GridSummary(top_candidates=(({_CONFIG_REPR}, 'A'),), families=({_FAMILY_REPR},), "
+        f"lowest_error_family={_FAMILY_REPR}, highest_mean_gap_family={_FAMILY_REPR}, "
+        f"lowest_mean_gap_family={_FAMILY_REPR}, unit_pairs_agree=True, disagreeing_pairs=())",
+    ),
+    RecordCase(
+        ExternalResultRow,
+        {"source": "[7]", "entries": (("A", 8.3),), "gap": 2.08, "mean": None},
+        "ExternalResultRow(source='[7]', entries=(('A', 8.3),), gap=2.08, mean=None)",
+        defaults={"gap": None, "mean": None},
+    ),
+    RecordCase(
+        RenderedTable,
+        {"title": "T", "header": ("a", "b"), "rows": (("1", "2"),), "fmt": "csv"},
+        "RenderedTable(title='T', header=('a', 'b'), rows=(('1', '2'),), fmt='csv')",
+        defaults={"fmt": "md"},
+        invalid=(({"fmt": "xml"}, InvalidValue, r"^unknown format 'xml'$"),
+                 ({"rows": (("1",),)}, InvalidValue,
+                  r"^every row must match the header arity$")),
+    ),
+]
+
+
+def _case_id(case):
+    return case.cls.__name__
+
+
+@pytest.mark.parametrize("case", RECORD_CASES, ids=_case_id)
+def test_record_contract(case):
+    record = case.cls(**case.fields)
+    assert type(record) is case.cls
+    assert repr(record) == case.expected_repr
+    values = tuple(case.fields.values())
+    assert tuple(getattr(record, field) for field in case.fields) == values
+    assert case.cls(*values) == record
+    given = {field: v for field, v in case.fields.items() if field not in case.defaults}
+    defaulted = case.cls(**given)
+    assert {field: getattr(defaulted, field) for field in case.defaults} == case.defaults
+
+    first = next(iter(case.fields))
+    with pytest.raises(AttributeError):
+        setattr(record, first, None)
+    assert getattr(record, first) == case.fields[first]
+
+    try:
+        expected_hash = hash(values)
+    except TypeError:  # a DistanceTable field is unhashable
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected_hash
+
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is case.cls
+    assert restored == record
+    assert repr(restored) == repr(record)
+
+    for overrides, field, stored in case.coercions:
+        value = getattr(case.cls(**{**case.fields, **overrides}), field)
+        assert value == stored
+        assert type(value) is type(stored)
+    for overrides, error, message in case.invalid:
+        with pytest.raises(error, match=message):
+            case.cls(**{**case.fields, **overrides})
+
+
+def test_configuration_and_metric_spec_are_dict_keys():
+    grid = run_builtin_grid()
+    config = next(iter(grid))
+    rebuilt = Configuration(config.solution, config.unit, list(config.references),
+                            MetricSpec(config.metric.order))
+    assert rebuilt == config
+    assert grid[rebuilt] is grid[config]
+    assert {MetricSpec(2): "l2", MetricSpec(): "linf"}[MetricSpec(2.0)] == "l2"
+    assert {MetricSpec(2): "l2", MetricSpec(): "linf"}[MetricSpec.infinity()] == "linf"
+
+
+@pytest.mark.parametrize("case", RECORD_CASES, ids=_case_id)
+def test_records_are_named_tuples_whose_replace_and_make_check(case):
+    record = case.cls(**case.fields)
+    assert tuple(record) == tuple(case.fields.values())
+    assert record._asdict() == case.fields
+    assert record._replace() == record
+    assert case.cls._make(case.fields.values()) == record
+    for overrides, field, stored in case.coercions:
+        assert getattr(record._replace(**overrides), field) == stored
+    for overrides, error, message in case.invalid:
+        with pytest.raises(error, match=message):
+            record._replace(**overrides)
+        with pytest.raises(error, match=message):
+            case.cls._make({**case.fields, **overrides}.values())

@@ -71,6 +71,27 @@ class TestRank:
         assert records[0]["columns"][0] == "locality"
         assert records[1]["locality"] == "LUGAR DE LA MANCHA"
 
+    def test_jsonl_is_strict_json_and_names_stay_strings(self, capsys, tmp_path):
+        # every one of these names is a token that float() accepts
+        path = tmp_path / "odd.csv"
+        path.write_text("name,a,b\nnan,1,2\nInfinity,2,1\n1e5,1.5,1\n1_0,3,3\n",
+                        encoding="utf-8")
+        argv = ("rank", "--data", str(path), "--solution", "1,1")
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        code, out, _ = invoke(capsys, *argv, "--format", "jsonl")
+        assert code == 0
+        records = [json.loads(line, parse_constant=refuse) for line in out.splitlines()]
+        code, out, _ = invoke(capsys, *argv, "--format", "csv")
+        assert code == 0
+        csv_names = [line.split(",")[0] for line in out.splitlines()[1:]]
+        names = [record["locality"] for record in records[1:]]
+        assert names == csv_names
+        assert sorted(names[1:]) == ["1E5", "1_0", "Infinity", "Nan"]
+        assert all(type(record["d_2"]) is float for record in records[1:])
+
 
 class TestUsageErrors:
     def test_unknown_metric_exits_2_naming_token(self, capsys):

@@ -80,6 +80,17 @@ class TestRenderedTable:
         assert meta == {"title": "Title", "columns": ["name", "value"]}
         assert record == {"name": "x", "value": 1.5}
 
+    @pytest.mark.parametrize("cell, value", [
+        ("12", 12.0), ("-1.50", -1.5), ("0.00", 0.0), ("007", 7.0),
+        ("nan", "nan"), ("-Infinity", "-Infinity"), ("1e5", "1e5"), ("1_0", "1_0"),
+        (" 1", " 1"), ("1.", "1."), (".5", ".5"), ("+1", "+1"), ("\u0661", "\u0661"),
+    ])
+    def test_jsonl_numbers_only_for_plain_decimal_literals(self, cell, value):
+        table = RenderedTable("Title", ("cell",), ((cell,),), fmt="jsonl")
+        record = json.loads(table.text().splitlines()[1])
+        assert record == {"cell": value}
+        assert type(record["cell"]) is type(value)
+
 
 @pytest.fixture(scope="module")
 def grid():
