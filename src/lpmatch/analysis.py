@@ -8,17 +8,28 @@ result deterministic.
 
 A ranking matches the target's references to the table's columns by folded
 name once, then works a whole column at a time: one list of |column - goal|
-differences per reference gives every candidate's distance and L2 tie-break
-through the batch reducer of ``core``, and one sort orders the candidates.  A
-distance or relative error that is not a finite double raises InvalidValue.
+differences per reference gives every candidate's distance through the batch
+reducer of ``core``, and one sort on the distances alone orders the
+candidates.  Only rows whose distance equals another row's need the L2
+tie-break, so it is computed for those rows only, through the same reducer,
+and they are re-sorted by (distance, L2, name) in place.  That hides no
+overflow: differences are >= 0, so a row's L2 is at most sqrt(R) times its
+largest difference, which is at most any of its Lp distances.  While sqrt(R)
+times the largest distance stays below half the largest double no L2 can
+overflow; beyond that every row's L2 is computed as before.  So rankings,
+tie order and errors are the ones a full L2 pass gives.  ``gap_report`` and
+``sweep`` rank a family of metrics from one set of differences, with the L2
+ranking's distances as the other metrics' tie-breaks.  A distance or
+relative error that is not a finite double raises InvalidValue.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
-from itertools import repeat
-from operator import sub
+from itertools import compress, count, islice, repeat
+from operator import eq, index, itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -28,8 +39,10 @@ from .core import (
     Profile,
     Unit,
     _Checked,
+    _coerce,
     _norm,
     _norms,
+    _shown,
     convert,
     magnitude,
 )
@@ -67,6 +80,10 @@ __all__ = [
 # The metric family every gap report is computed over.
 STANDARD_METRICS = (MetricSpec.infinity(), MetricSpec.ln(1), MetricSpec.ln(2))
 _L2 = MetricSpec.ln(2)  # breaks exact distance ties
+# While sqrt(R) times the largest distance of a ranking stays below this,
+# no row's L2 overflows, with a factor of 2 to spare for the rounding of the
+# bound and of hypot.
+_L2_SAFE = sys.float_info.max / 2
 
 
 class SolutionProfile(_Checked, namedtuple("SolutionProfile", "label jornadas")):
@@ -167,41 +184,101 @@ def rank_candidates(
     Exact ties are broken by ascending L2 distance to the target, then by
     candidate name.
     """
+    return _rankings(table, target, (metric,))[metric]
+
+
+def _rankings(
+    table: DistanceTable, target: Profile, metrics: Sequence[MetricSpec]
+) -> dict[MetricSpec, list[RankingEntry]]:
+    """The ranking of ``table`` under each of ``metrics``, in that order.
+
+    The |column - goal| differences are built once and shared by every
+    metric.  The L2 values that break distance ties are computed for every
+    row only when some metric is L2 itself or when the overflow bound below
+    does not hold; otherwise only for the rows whose distance is tied.  The
+    InvalidValue of an overflow names the metric that ``rank_candidates``
+    would name for the first of ``metrics`` to meet one.
+    """
     if target.unit is not table.unit:
         raise UnitMismatch(
             f"target is in {target.unit.value} but the table is in {table.unit.value}"
         )
     goal = table.aligned(target)
-    diffs = [list(map(abs, map(sub, column, repeat(g))))
-             for column, g in zip(table.value_columns, goal)]
+    # a comprehension, which CPython 3.11 specializes for floats, builds
+    # these about twice as fast as map(abs, map(sub, column, repeat(g)))
+    diffs = [[abs(v - g) for v in column] for column, g in zip(table.value_columns, goal)]
+    l2 = _checked_norms(_L2, diffs, metrics[0]) if _L2 in metrics else None
+    rankings = {}
+    for metric in metrics:
+        distances = l2 if metric == _L2 else _checked_norms(metric, diffs, metric)
+        # every Lp distance of a row, L_inf included, is at least its largest
+        # difference, and its L2 at most sqrt(R) times that
+        if l2 is None and max(distances) * math.sqrt(len(diffs)) >= _L2_SAFE:
+            l2 = _checked_norms(_L2, diffs, metric)
+        rankings[metric] = _ranked(distances, l2, diffs, table.candidates)
+    return rankings
+
+
+def _checked_norms(
+    spec: MetricSpec, diffs: list[list[float]], metric: MetricSpec
+) -> list[float]:
+    """``_norms(spec, diffs)`` for a ranking under ``metric``.
+
+    When a norm overflows, the InvalidValue raised names the metric that a
+    row-by-row walk meets first, checking each row's ``metric`` distance
+    before its L2 tie-break, whichever pass found the overflow.
+    """
     try:
-        distances = _norms(metric, diffs)
-        ties = distances if metric == _L2 else _norms(_L2, diffs)
+        return _norms(spec, diffs)
     except InvalidValue:
-        # report the metric that a row-by-row walk meets first, checking each
-        # row's distance before its tie-break
         for row in zip(*diffs):
             _norm(metric, row)
             _norm(_L2, row)
         raise
-    distances, _, names = zip(*sorted(zip(distances, ties, table.candidates)))
+
+
+def _ranked(
+    distances: list[float], l2: list[float] | None, diffs: list[list[float]],
+    names: tuple[str, ...],
+) -> list[RankingEntry]:
+    """Rows ordered by (distance, L2, name); ``l2`` is None when only tied
+    rows may have their L2 computed."""
+    order = sorted(range(len(distances)), key=distances.__getitem__)  # float keys, stable
+    ordered = list(map(distances.__getitem__, order))
+    tied = list(compress(count(), map(eq, ordered, islice(ordered, 1, None))))
+    if tied:
+        # the positions in ``order`` of every row whose distance equals a
+        # neighbour's, ascending; re-sorting those rows by (distance, L2,
+        # name) orders each run of equal distances within its own positions
+        positions = sorted({*tied, *(position + 1 for position in tied)})
+        rows = list(map(order.__getitem__, positions))
+        if l2 is None:
+            pick = itemgetter(*rows)  # at least two rows, so it returns a tuple
+            ties = _norms(_L2, [pick(column) for column in diffs])
+        else:
+            ties = map(l2.__getitem__, rows)
+        keyed = sorted(zip(map(ordered.__getitem__, positions), ties,
+                           map(names.__getitem__, rows), rows))
+        for position, (_, _, _, row) in zip(positions, keyed):
+            order[position] = row
     # tuple.__new__ builds each entry as RankingEntry(name, distance, rank)
     # would, without a Python-level __new__ call per candidate
-    fields = zip(names, distances, range(1, len(names) + 1))
+    fields = zip(map(names.__getitem__, order), ordered, count(1))
     return list(map(tuple.__new__, repeat(RankingEntry), fields))
 
 
 def top_k(ranking: Sequence[RankingEntry], k: int = 5) -> list[RankingEntry]:
     """First min(k, N) entries of a ranking."""
-    if k < 1:
-        raise InvalidValue(f"k must be >= 1, got {k!r}")
+    if _coerce(index, k, "k must be an integer") < 1:
+        raise InvalidValue(f"k must be >= 1, got {_shown(k)}")
     return list(ranking[:k])
 
 
 def relative_error_percent(distance: float, target: Profile, metric: MetricSpec) -> float:
     """Distance as a percentage of the target's own magnitude under ``metric``."""
-    if not math.isfinite(distance) or distance < 0.0:
-        raise InvalidValue(f"distance must be finite and >= 0, got {distance!r}")
+    requirement = "distance must be finite and >= 0"
+    if not _coerce(math.isfinite, distance, requirement) or distance < 0.0:
+        raise InvalidValue(f"{requirement}, got {_shown(distance)}")
     return _percent(distance, _scale(target, metric))
 
 
@@ -242,7 +319,8 @@ def _rank_family(
     if len(table) < 2:
         raise InsufficientCandidates("gap analysis needs at least two candidates")
     needed = tuple(dict.fromkeys((*metrics, *STANDARD_METRICS)))
-    rankings = {metric: tuple(rank_candidates(table, target, metric)) for metric in needed}
+    rankings = {metric: tuple(ranking)
+                for metric, ranking in _rankings(table, target, needed).items()}
     scales = {metric: _scale(target, metric) for metric in needed}
     records = []
     for metric in STANDARD_METRICS:

@@ -11,9 +11,17 @@ L_inf takes a maximum, L1 and the inner sum of Ln use the correctly rounded
 ``math.fsum``, and L2, whose ``math.hypot`` depends on input order, reduces
 each row's differences in canonical (descending) order.  Aligning by name is
 separate from that reduction, so a ranking aligns its table with the target
-once and reduces whole columns of differences at a time.  A distance that is
-not a finite double (finite inputs whose L1, L2 or Ln total exceeds the
-largest double) raises InvalidValue.
+once and reduces whole columns of differences at a time.  The L2 that breaks
+a ranking's distance ties goes through the same batch reducer, given the
+columns of the tied rows only; the rankings are unchanged by that (see
+``analysis``).  A distance that is not a finite double (finite inputs whose
+L1, L2 or Ln total exceeds the largest double) raises InvalidValue.
+
+Every value a public constructor or function is given is converted through
+one helper, ``_coerce``: a value of the wrong type (a string, None, a
+complex number, a nested tuple) or out of the conversion's range (nan or an
+infinite order, an int too large for a double) raises InvalidValue naming
+the field, never a bare TypeError or ValueError.
 """
 
 from __future__ import annotations
@@ -59,11 +67,43 @@ class Unit(Enum):
 
     @classmethod
     def parse(cls, token: str) -> "Unit":
-        key = token.strip().lower()
+        key = _coerce(str.strip, token, "a unit must be a string").lower()
         for unit in cls:
             if key in (unit.value, unit.short):
                 return unit
         raise InvalidValue(f"unknown unit {token!r}")
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message, or a stand-in where the repr
+    itself fails (an int beyond the interpreter's int-to-string limit)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to show>"
+
+
+def _coerce(convert, value, requirement: str):
+    """``convert(value)``, or InvalidValue "<requirement>, got <value>".
+
+    ``requirement`` names the field and what it must be, as in "k must be an
+    integer".  Every public constructor and function converts the values it
+    is given through here, so a value of the wrong type or out of range of
+    the conversion gives a library caller an LpmatchError, never a
+    TypeError, ValueError or OverflowError.
+    """
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidValue(f"{requirement}, got {_shown(value)}") from None
+
+
+def _floats(values: Iterable[float]) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
+def _strings(values: Iterable[object]) -> tuple[str, ...]:
+    return tuple(map(str, values))
 
 
 def fold_name(name: str) -> str:
@@ -73,7 +113,7 @@ def fold_name(name: str) -> str:
     diacritics, so that e.g. ' venta  de cardenas' matches 'Venta de
     Cárdenas'.
     """
-    collapsed = " ".join(name.split())
+    collapsed = " ".join(_coerce(str.split, name, "a name must be a string"))
     decomposed = unicodedata.normalize("NFKD", collapsed.casefold())
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
@@ -109,8 +149,9 @@ class ConversionRates(_Checked, namedtuple("ConversionRates", "km_per_jornada ho
     def __post_init__(self) -> None:
         for label, rate in (("km_per_jornada", self.km_per_jornada),
                             ("hours_per_jornada", self.hours_per_jornada)):
-            if not math.isfinite(rate) or rate <= 0.0:
-                raise InvalidValue(f"{label} must be finite and > 0, got {rate!r}")
+            requirement = f"{label} must be finite and > 0"
+            if not _coerce(math.isfinite, rate, requirement) or rate <= 0.0:
+                raise InvalidValue(f"{requirement}, got {_shown(rate)}")
 
 
 DEFAULT_RATES = ConversionRates()
@@ -122,11 +163,16 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
     __slots__ = ()
 
     def __new__(cls, names: Iterable[str], values: Iterable[float], unit: Unit) -> "Profile":
-        return super().__new__(cls, tuple(map(str, names)), tuple(map(float, values)), unit)
+        return super().__new__(
+            cls,
+            _coerce(_strings, names, "profile names must be strings"),
+            _coerce(_floats, values, "profile distances must be real numbers"),
+            unit,
+        )
 
     def __post_init__(self) -> None:
         if not isinstance(self.unit, Unit):
-            raise InvalidValue(f"profile unit must be a Unit, got {self.unit!r}")
+            raise InvalidValue(f"profile unit must be a Unit, got {_shown(self.unit)}")
         if not self.names:
             raise InvalidValue("a profile needs at least one entry")
         if len(self.names) != len(self.values):
@@ -199,9 +245,10 @@ class MetricSpec(_Checked, namedtuple("MetricSpec", "order", defaults=(None,))):
 
     def __post_init__(self) -> None:
         if self.order is not None:
-            order = int(self.order)
+            requirement = "metric order must be an integer >= 1"
+            order = _coerce(int, self.order, requirement)
             if order != self.order or order < 1:
-                raise InvalidValue(f"metric order must be an integer >= 1, got {self.order!r}")
+                raise InvalidValue(f"{requirement}, got {_shown(self.order)}")
 
     @classmethod
     def infinity(cls) -> "MetricSpec":
@@ -217,7 +264,7 @@ class MetricSpec(_Checked, namedtuple("MetricSpec", "order", defaults=(None,))):
 
         Raises InvalidValue for any other token.
         """
-        key = token.strip().lower()
+        key = _coerce(str.strip, token, "a metric must be a string").lower()
         if key in ("linf", "l∞", "linfinity"):
             return cls.infinity()
         digits = key[1:]

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .core import Profile, Unit, fold_name
+from .core import Profile, Unit, _coerce, _floats, _shown, fold_name
 from .errors import (
     DuplicateCandidate,
     EmptyInput,
@@ -82,7 +82,7 @@ def normalize_name(raw: str) -> str:
     spelling regardless of case, spacing or missing diacritics; unknown names
     pass through cleaned up and title-cased.  Idempotent.
     """
-    cleaned = " ".join(raw.split())
+    cleaned = " ".join(_coerce(str.split, raw, "a name must be a string"))
     if not cleaned:
         raise EmptyName("name is empty or blank")
     return _CANONICAL_BY_KEY.get(fold_name(cleaned), cleaned.title())
@@ -99,7 +99,7 @@ class DistanceTable:
         rows: Iterable[tuple[str, Sequence[float]]],
     ):
         if not isinstance(unit, Unit):
-            raise InvalidValue(f"table unit must be a Unit, got {unit!r}")
+            raise InvalidValue(f"table unit must be a Unit, got {_shown(unit)}")
         refs = tuple(normalize_name(r) for r in references)
         if not refs:
             raise EmptySelection("a table needs at least one reference column")
@@ -115,7 +115,7 @@ class DistanceTable:
             if key in index:
                 raise DuplicateCandidate(f"duplicate candidate {name!r}")
             index[key] = len(names)
-            vals = tuple(float(v) for v in raw_values)
+            vals = _coerce(_floats, raw_values, "table distances must be real numbers")
             if len(vals) != len(refs):
                 raise InvalidValue(
                     f"candidate {name!r} has {len(vals)} values for {len(refs)} references"
@@ -307,8 +307,8 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
     parse errors are 1-based.
     """
     if decimal not in ("auto", "dot", "comma"):
-        raise InvalidValue(f"unknown decimal mode {decimal!r}")
-    if not text.strip():
+        raise InvalidValue(f"unknown decimal mode {_shown(decimal)}")
+    if not _coerce(str.strip, text, "table text must be a string"):
         raise EmptyInput("no table data")
     delimiter = _sniff_delimiter(text)
     if decimal == "auto":

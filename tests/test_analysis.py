@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -147,6 +148,96 @@ class TestRankCandidates:
             rank_candidates(table, target, metric)
 
 
+DBL_MAX = sys.float_info.max
+FOUR = ("a", "b", "c", "d")  # R = 4 references, so DBL_MAX / sqrt(R) = DBL_MAX / 2
+AT_ZERO = Profile(FOUR, (0.0,) * 4, Unit.KILOMETERS)  # each difference is the value itself
+
+
+def four_column_table(*rows):
+    return DistanceTable(Unit.KILOMETERS, FOUR, [(f"r{i}", row) for i, row in enumerate(rows)])
+
+
+def ranked(table, metric):
+    return [(e.candidate, e.distance.hex()) for e in rank_candidates(table, AT_ZERO, metric)]
+
+
+class TestTieBreakOverflow:
+    """A row's L2 is at most sqrt(R) times its largest difference, which is
+    at most any of its Lp distances.  So the tie-break is computed for tied
+    rows only while sqrt(R) times the largest distance stays below half the
+    largest double.  On either side of that bound the results and errors are
+    the ones the full L2 pass gives."""
+
+    @pytest.mark.parametrize("metric", [LINF, MetricSpec.ln(3)], ids=["linf", "l3"])
+    def test_largest_difference_just_below_the_l2_limit(self, metric):
+        peak = math.nextafter(DBL_MAX / 2, 0.0)  # the L2 of (peak,) * 4 is 2 * peak
+        table = four_column_table((1.0,) * 4, (peak,) * 4, (peak, peak, peak, 1.0))
+        expected = {
+            "linf": [("R0", "0x1.0000000000000p+0"), ("R2", "0x1.ffffffffffffep+1022"),
+                     ("R1", "0x1.ffffffffffffep+1022")],  # tied; R2 has the smaller L2
+            "l3": [("R0", "0x1.965fea53d6e3cp+0"), ("R2", "0x1.7137449123ef5p+1023"),
+                   ("R1", "0x1.965fea53d6e3ap+1023")],
+        }[metric.token]
+        assert ranked(table, metric) == expected
+
+    @pytest.mark.parametrize("metric", [LINF, MetricSpec.ln(3)], ids=["linf", "l3"])
+    def test_largest_difference_just_above_the_l2_limit(self, metric):
+        # the distances fit; only the L2 tie-break of R1 overflows, and no
+        # distance is tied
+        peak = math.nextafter(DBL_MAX / 2, math.inf)
+        table = four_column_table((1.0,) * 4, (peak,) * 4, (peak / 2, 1.0, 1.0, 1.0))
+        with pytest.raises(InvalidValue, match=r"^the l2 distance exceeds the largest double$"):
+            rank_candidates(table, AT_ZERO, metric)
+
+    def test_l1_near_the_largest_double(self):
+        quarter = DBL_MAX / 4 * (1 - 2**-10)
+        table = four_column_table((1.0,) * 4, (quarter,) * 4,
+                                  (2 * quarter, quarter, quarter / 2, quarter / 2))
+        assert ranked(table, L1) == [  # R1 and R2 tie; R1 has the smaller L2
+            ("R0", "0x1.0000000000000p+2"), ("R1", "0x1.ff7ffffffffffp+1023"),
+            ("R2", "0x1.ff7ffffffffffp+1023")]
+        over = four_column_table((1.0,) * 4, (DBL_MAX / 2, DBL_MAX / 2, DBL_MAX / 2, 1.0))
+        with pytest.raises(InvalidValue, match=r"^the l1 distance exceeds the largest double$"):
+            rank_candidates(over, AT_ZERO, L1)
+
+    def test_gap_report_names_the_l2_overflow_of_its_first_metric(self):
+        peak = math.nextafter(DBL_MAX / 2, math.inf)
+        table = four_column_table((1.0,) * 4, (peak,) * 4)
+        target = Profile(FOUR, (1.0,) * 4, Unit.KILOMETERS)
+        with pytest.raises(InvalidValue, match=r"^the l2 distance exceeds the largest double$"):
+            gap_report(table, target)
+
+    @pytest.mark.parametrize("km_per_jornada, metric, named", [
+        (5e307, L1, "l1"), (5e307, MetricSpec.ln(3), "l2"), (5e307, LINF, "l2"),
+        (5e307, L2, "l2"), (3e307, L2, "l1"), (3e307, LINF, "l1"),
+    ])
+    def test_sweep_names_the_overflow_that_ranking_its_metrics_in_turn_meets_first(
+            self, km_per_jornada, metric, named):
+        # a family ranks the sweep's metric, then L_inf, L_1 and L_2; each
+        # ranking walks its rows checking the distance before the tie-break
+        rates = ConversionRates(km_per_jornada, 10.0)
+        with pytest.raises(InvalidValue, match=f"^the {named} distance exceeds the largest"):
+            sweep((CLASSIC_SOLUTION,), (Unit.KILOMETERS,), (REFERENCES,), (metric,), rates=rates)
+
+    @pytest.mark.parametrize("metric", [LINF, L1, MetricSpec.ln(3)], ids=["linf", "l1", "l3"])
+    def test_only_tied_rows_get_an_l2_below_the_bound(self, metric, monkeypatch):
+        big = DBL_MAX / 20  # sqrt(4) * every distance stays below DBL_MAX / 2
+        table = four_column_table((big, big, 1.0, 1.0), (1.0, big, big, big), (big,) * 4,
+                                  (2.0,) * 4, (2.0,) * 4)
+        reduced = []
+
+        def recorded(spec, columns):
+            reduced.append((spec.token, len(columns[0])))
+            return norms(spec, columns)
+
+        norms = analysis._norms
+        monkeypatch.setattr(analysis, "_norms", recorded)
+        names = [name for name, _ in ranked(table, metric)]
+        tied = {"linf": 5, "l1": 2, "l3": 2}[metric.token]  # R0-R2 tie under L_inf
+        assert reduced == [(metric.token, 5), ("l2", tied)]
+        assert names == ["R3", "R4", "R0", "R1", "R2"]
+
+
 class TestRankingEntry:
     def test_fields_equality_and_repr(self):
         entry = rank_candidates(KM, KM.row("Carrizosa"), L2)[0]
@@ -287,7 +378,7 @@ class TestSweep:
         assert all(r.ranking[0].candidate == "Villanueva de los Infantes" for r in refined)
 
     def test_ranks_and_scales_each_family_metric_once(self, monkeypatch):
-        calls = {"rank": 0, "magnitude": 0}
+        calls = {"rank": 0, "reduce": 0, "magnitude": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -295,11 +386,14 @@ class TestSweep:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(analysis, "rank_candidates",
-                            counted("rank", analysis.rank_candidates))
+        # one ranking pass per family, one reduction per family metric (the
+        # L2 ranking's distances are the L_inf and L_1 tie-breaks), one
+        # relative-error scale per family metric
+        monkeypatch.setattr(analysis, "_rankings", counted("rank", analysis._rankings))
+        monkeypatch.setattr(analysis, "_norms", counted("reduce", analysis._norms))
         monkeypatch.setattr(analysis, "magnitude", counted("magnitude", analysis.magnitude))
         run_builtin_grid()
-        assert calls == {"rank": 24, "magnitude": 24}
+        assert calls == {"rank": 8, "reduce": 24, "magnitude": 24}
 
     def test_gaps_are_shared_with_a_standalone_gap_report(self):
         results = sweep((REFINED_SOLUTION,), (Unit.HOURS,), (REFERENCES[:3],), (MetricSpec.ln(3),))

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpmatch.analysis import RankingEntry, rank_candidates, relative_error_percent
+from lpmatch.analysis import (
+    STANDARD_METRICS,
+    GapRecord,
+    GapReport,
+    RankingEntry,
+    gap_report,
+    rank_candidates,
+    relative_error_percent,
+)
 from lpmatch.core import MetricSpec, Profile, Unit, metric_distance
 from lpmatch.dataset import DistanceTable
 
@@ -188,6 +196,60 @@ def test_matches_per_pair_metric_distance_under_permutation_and_respelling(metri
     )
     expected = [RankingEntry(name, dist, pos + 1) for pos, (dist, _, name) in enumerate(scored)]
     assert rank_candidates(table, target, metric) == expected
+
+
+# A few small integer or 2-decimal values, so that exact distance ties, and
+# ties of the L2 tie-break too, are common.
+PALETTES = ((1.0, 2.0, 3.0, 5.0), (0.01, 0.02, 0.05, 0.07), (1.25, 2.5, 3.75), (4.0, 4.5))
+
+
+@st.composite
+def tie_heavy_tables_and_targets(draw):
+    n_refs = draw(st.integers(min_value=1, max_value=4))
+    refs = BASE_REFERENCES[:n_refs]
+    value = st.sampled_from(draw(st.sampled_from(PALETTES)))
+    rows = draw(st.lists(st.lists(value, min_size=n_refs, max_size=n_refs).map(tuple),
+                         min_size=2, max_size=14))
+    names = draw(st.permutations([f"cand{i:02d}" for i in range(len(rows))]))
+    table = DistanceTable(Unit.KILOMETERS, refs, list(zip(names, rows)))
+    order = draw(st.permutations(range(n_refs)))
+    target_names = tuple(draw(respellings(refs[i])) for i in order)
+    target_values = draw(st.lists(value, min_size=n_refs, max_size=n_refs))
+    return table, Profile(target_names, tuple(target_values), Unit.KILOMETERS)
+
+
+@pytest.mark.parametrize(
+    "metric", METRICS + (MetricSpec.ln(40),), ids=lambda m: m.token,
+)
+@given(data=tie_heavy_tables_and_targets())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_tie_heavy_rankings_match_the_sorted_triple_oracle(metric, data):
+    """Ties in the distance, and in its L2 tie-break, fall to (L2, name)."""
+    table, target = data
+    l2 = MetricSpec.ln(2)
+    scored = sorted(
+        (metric_distance(metric, table.row(name), target),
+         metric_distance(l2, table.row(name), target), name)
+        for name in table.candidates
+    )
+    expected = [RankingEntry(name, dist, pos + 1) for pos, (dist, _, name) in enumerate(scored)]
+    assert rank_candidates(table, target, metric) == expected
+
+
+@given(data=tie_heavy_tables_and_targets())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_gap_report_equals_three_separate_rankings(data):
+    """The family pass that shares differences and L2 across the metrics
+    reports what three one-metric rankings give."""
+    table, target = data
+    records = []
+    for metric in STANDARD_METRICS:
+        first, second = rank_candidates(table, target, metric)[:2]
+        errors = [relative_error_percent(e.distance, target, metric) for e in (first, second)]
+        records.append(GapRecord(metric, first.candidate, errors[0],
+                                 second.candidate, errors[1], errors[1] - errors[0]))
+    expected = GapReport(tuple(records), math.fsum(r.gap for r in records) / 3)
+    assert gap_report(table, target) == expected
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20000).map(lambda k: k / 100.0),

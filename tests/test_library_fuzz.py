@@ -1,0 +1,141 @@
+"""Seeded fuzzing of the library's value parameters: a result or an LpmatchError.
+
+Every public constructor and function of ``core``, ``dataset`` and
+``analysis`` that takes numbers, names, tokens or units gets mixed values in
+those places: strings, None, bools, complex numbers, nan, +-inf, huge ints
+and nested tuples, beside ordinary values.  Parameters that take one of the
+package's own objects (a table, a target profile, a metric, a ranking) get a
+valid one.  A call must return or raise an ``LpmatchError``; any other
+exception is a traceback that a library caller would see.  Seeded
+(``derandomize``) and bounded, so every run checks the same cases.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lpmatch.analysis import (
+    CLASSIC_SOLUTION,
+    Configuration,
+    SolutionProfile,
+    rank_candidates,
+    relative_error_percent,
+    target_profile,
+    top_k,
+)
+from lpmatch.core import (
+    ConversionRates,
+    MetricSpec,
+    Profile,
+    Unit,
+    convert,
+    fold_name,
+    magnitude,
+    metric_distance,
+)
+from lpmatch.dataset import (
+    DistanceTable,
+    builtin_table,
+    normalize_name,
+    parse_table,
+    subset_references,
+)
+from lpmatch.errors import InvalidValue, LpmatchError
+
+ODD = st.one_of(
+    st.sampled_from([None, True, False, 1j, complex(2, 0), math.nan, math.inf, -math.inf,
+                     10**400, -10**400, 2**64 + 1, 10**5000, (), (1,), ((1.0, "a"),),
+                     ("a", ("b",)), "", " ", "x", "3", "1e400", "nan", "l2", "km"]),
+    st.text(max_size=6),
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.floats(),
+)
+USUAL = st.one_of(st.integers(1, 50), st.floats(0.01, 100.0), st.sampled_from(["a", "b", "c"]))
+MIXED = st.one_of(ODD, USUAL)
+
+TABLE = DistanceTable(Unit.KILOMETERS, ("a", "b"), [("X", (1.0, 2.0)), ("Y", (3.0, 1.5))])
+TARGET = Profile(("a", "b"), (2.0, 2.0), Unit.KILOMETERS)
+RANKING = rank_candidates(TABLE, TARGET, MetricSpec(1))
+
+
+def names_and_values(draw, size):
+    names = draw(st.lists(st.one_of(MIXED, st.sampled_from(["a", "b", "c"])),
+                          min_size=size, max_size=size))
+    values = draw(st.lists(MIXED, min_size=size, max_size=size))
+    return names, values
+
+
+CALLS = {
+    "MetricSpec": lambda d: MetricSpec(d(MIXED)),
+    "MetricSpec.parse": lambda d: MetricSpec.parse(d(MIXED)),
+    "Unit.parse": lambda d: Unit.parse(d(MIXED)),
+    "ConversionRates": lambda d: ConversionRates(d(MIXED), d(MIXED)),
+    "Profile": lambda d: Profile(*names_and_values(d, d(st.integers(0, 3))),
+                                 d(st.one_of(st.sampled_from(list(Unit)), MIXED))),
+    "DistanceTable": lambda d: DistanceTable(
+        d(st.one_of(st.just(Unit.HOURS), MIXED)),
+        d(st.lists(MIXED, min_size=1, max_size=2)),
+        [(d(MIXED), d(st.lists(MIXED, min_size=1, max_size=2)))
+         for _ in range(d(st.integers(1, 3)))],
+    ),
+    "fold_name": lambda d: fold_name(d(MIXED)),
+    "normalize_name": lambda d: normalize_name(d(MIXED)),
+    "builtin_table": lambda d: builtin_table(d(MIXED)),
+    "parse_table": lambda d: parse_table(d(MIXED), unit=d(st.one_of(st.just(Unit.HOURS), MIXED)),
+                                         decimal=d(st.one_of(st.just("auto"), MIXED))),
+    "subset_references": lambda d: subset_references(TABLE, d(st.lists(MIXED, max_size=2))),
+    "convert": lambda d: convert(Profile(("a",), (1.0,), Unit.JORNADAS), d(MIXED),
+                                 ConversionRates(d(MIXED), d(MIXED))),
+    "magnitude": lambda d: magnitude(MetricSpec(d(MIXED)), TARGET),
+    "metric_distance": lambda d: metric_distance(
+        MetricSpec(1), TARGET, Profile(*names_and_values(d, 2), Unit.KILOMETERS)),
+    "SolutionProfile": lambda d: SolutionProfile(d(MIXED), CLASSIC_SOLUTION.jornadas),
+    "Configuration": lambda d: Configuration(CLASSIC_SOLUTION, d(MIXED),
+                                             d(st.lists(MIXED, max_size=2)), MetricSpec(1)),
+    "target_profile": lambda d: target_profile(CLASSIC_SOLUTION, Unit.HOURS,
+                                               d(st.lists(MIXED, min_size=1, max_size=2))),
+    "rank_candidates": lambda d: rank_candidates(
+        TABLE, Profile(*names_and_values(d, 2), Unit.KILOMETERS), MetricSpec(d(MIXED))),
+    "top_k": lambda d: top_k(RANKING, d(MIXED)),
+    "relative_error_percent": lambda d: relative_error_percent(d(MIXED), TARGET, MetricSpec(2)),
+}
+
+
+@given(name=st.sampled_from(sorted(CALLS)), data=st.data())
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+def test_value_parameters_give_a_result_or_an_lpmatch_error(name, data):
+    try:
+        CALLS[name](data.draw)
+    except LpmatchError:
+        pass
+
+
+KM = Unit.KILOMETERS
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MetricSpec(math.nan), r"^metric order must be an integer >= 1, got nan$"),
+    (lambda: MetricSpec("x"), r"^metric order must be an integer >= 1, got 'x'$"),
+    (lambda: MetricSpec(math.inf), r"^metric order must be an integer >= 1, got inf$"),
+    (lambda: MetricSpec(-10**5000),
+     r"^metric order must be an integer >= 1, got <int too large to show>$"),
+    (lambda: Profile(("a",), ("x",), KM),
+     r"^profile distances must be real numbers, got \('x',\)$"),
+    (lambda: Profile(("a",), (1j,), KM),
+     r"^profile distances must be real numbers, got \(1j,\)$"),
+    (lambda: ConversionRates("x", 1.0), r"^km_per_jornada must be finite and > 0, got 'x'$"),
+    (lambda: top_k(RANKING, "3"), r"^k must be an integer, got '3'$"),
+    (lambda: relative_error_percent("1", TARGET, MetricSpec(1)),
+     r"^distance must be finite and >= 0, got '1'$"),
+    (lambda: DistanceTable(KM, ("a",), [("c", ("x",))]),
+     r"^table distances must be real numbers, got \('x',\)$"),
+    (lambda: DistanceTable(KM, ("a",), [(None, (1.0,))]), r"^a name must be a string, got None$"),
+    (lambda: Unit.parse(None), r"^a unit must be a string, got None$"),
+    (lambda: MetricSpec.parse(2), r"^a metric must be a string, got 2$"),
+    (lambda: parse_table(None, unit=KM), r"^table text must be a string, got None$"),
+])
+def test_wrong_types_raise_invalid_value_naming_the_field(call, message):
+    with pytest.raises(InvalidValue, match=message):
+        call()
