@@ -184,7 +184,15 @@ def rank_candidates(
     Exact ties are broken by ascending L2 distance to the target, then by
     candidate name.
     """
+    _check_kind(table, DistanceTable, "table")
+    _check_kind(target, Profile, "target")
+    _check_kind(metric, MetricSpec, "metric")
     return _rankings(table, target, (metric,))[metric]
+
+
+def _check_kind(value, kind: type, field: str) -> None:
+    if not isinstance(value, kind):
+        raise InvalidValue(f"{field} must be a {kind.__name__}, got {_shown(value)}")
 
 
 def _rankings(
@@ -308,6 +316,8 @@ def gap_report(table: DistanceTable, target: Profile) -> GapReport:
     Gaps are computed from full-precision relative errors; rounding is left
     to the rendering layer.
     """
+    _check_kind(table, DistanceTable, "table")
+    _check_kind(target, Profile, "target")
     return _rank_family(table, target, STANDARD_METRICS)[2]
 
 

@@ -106,6 +106,26 @@ def _strings(values: Iterable[object]) -> tuple[str, ...]:
     return tuple(map(str, values))
 
 
+class _Unmarked(dict):
+    """``str.translate`` table that deletes combining marks.
+
+    Each code point is looked up with ``unicodedata.combining`` the first
+    time it is folded and remembered, so the table holds one entry per
+    distinct code point seen, up to ``_UNMARKED_SIZE`` of them.
+    """
+
+    def __missing__(self, point: int) -> str | None:
+        char = chr(point)
+        kept = None if unicodedata.combining(char) else char
+        if len(self) < _UNMARKED_SIZE:
+            self[point] = kept
+        return kept
+
+
+_UNMARKED_SIZE = 4096
+_UNMARKED = _Unmarked()
+
+
 def fold_name(name: str) -> str:
     """Comparison key for reference and candidate names.
 
@@ -114,8 +134,9 @@ def fold_name(name: str) -> str:
     Cárdenas'.
     """
     collapsed = " ".join(_coerce(str.split, name, "a name must be a string"))
-    decomposed = unicodedata.normalize("NFKD", collapsed.casefold())
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    if collapsed.isascii():  # NFKD leaves ASCII as it is, and casefold is lower
+        return collapsed.lower()
+    return unicodedata.normalize("NFKD", collapsed.casefold()).translate(_UNMARKED)
 
 
 class _Checked(tuple):

@@ -5,9 +5,19 @@ localities of the Campo de Montiel comarca to four reference points (Venta
 de Cárdenas, Puerto Lápice, El Toboso, Munera), one table in kilometers and
 one in hours.  Values are embedded verbatim at two decimals.
 
-A ``DistanceTable`` validates its input row by row and then stores it by
-column, one value tuple per reference, so that rankings reduce whole columns
-and a reference subset picks columns without copying rows.
+A ``DistanceTable`` stores its values by column, one value tuple per
+reference, so that rankings reduce whole columns and a reference subset picks
+columns without copying rows.
+
+Loading works column by column too.  ``parse_table`` reads every csv record
+at once, transposes the body and converts each value column with one
+``map(float, ...)``; the table checks each column with C-level reductions
+(every value finite, the minimum above zero) and finds duplicate candidates
+from the size of its key index.  Each name is folded once: the fold that
+looks a name up among the canonical spellings is also its key.  Where any
+of that fails, the input is walked again one record and one row after
+another, and that walk alone decides which error is raised, with the same
+message, line and column as a row-by-row load.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import csv
 import io
 import math
 from functools import lru_cache
+from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 from .core import Profile, Unit, _coerce, _floats, _shown, fold_name
@@ -25,6 +36,7 @@ from .errors import (
     EmptyName,
     EmptySelection,
     InvalidValue,
+    LpmatchError,
     ParseError,
     ReferenceNotFound,
 )
@@ -71,8 +83,25 @@ _LOCALITIES = (
 # "Fuencollana" is an accepted alternate spelling of the locality Fuenllana.
 _ALIASES = {"Fuencollana": "Fuenllana"}
 
-_CANONICAL_BY_KEY = {fold_name(name): name for name in _LOCALITIES + REFERENCES}
-_CANONICAL_BY_KEY.update((fold_name(alias), name) for alias, name in _ALIASES.items())
+# folded spelling -> (canonical name, its folded key)
+_CANONICAL_BY_KEY = {fold_name(name): (name, fold_name(name)) for name in _LOCALITIES + REFERENCES}
+_CANONICAL_BY_KEY.update((fold_name(alias), _CANONICAL_BY_KEY[fold_name(name)])
+                         for alias, name in _ALIASES.items())
+
+
+def _named(raw: str) -> tuple[str, str]:
+    """``normalize_name(raw)`` and its ``fold_name`` key, from one fold."""
+    cleaned = " ".join(_coerce(str.split, raw, "a name must be a string"))
+    if not cleaned:
+        raise EmptyName("name is empty or blank")
+    key = fold_name(cleaned)
+    known = _CANONICAL_BY_KEY.get(key)
+    if known is not None:
+        return known
+    name = cleaned.title()
+    # title-casing leaves the fold unchanged, except for the dotless i: 'ı'
+    # folds to itself, but its title case 'I' folds to 'i'
+    return name, (fold_name(name) if "ı" in cleaned else key)
 
 
 def normalize_name(raw: str) -> str:
@@ -82,10 +111,66 @@ def normalize_name(raw: str) -> str:
     spelling regardless of case, spacing or missing diacritics; unknown names
     pass through cleaned up and title-cased.  Idempotent.
     """
-    cleaned = " ".join(_coerce(str.split, raw, "a name must be a string"))
-    if not cleaned:
-        raise EmptyName("name is empty or blank")
-    return _CANONICAL_BY_KEY.get(fold_name(cleaned), cleaned.title())
+    return _named(raw)[0]
+
+
+def _pair(row) -> tuple:
+    name, values = row
+    return name, values
+
+
+def _plain_columns(rows: tuple, width: int) -> tuple | None:
+    """The names and float value columns of ``rows``, or None unless every
+    row is a (name, values) pair with ``width`` values.
+
+    Rows and values must have a length, so an iterator, which the row walk
+    could not read again, raises TypeError here before it is read.
+    """
+    if not rows or not all(map((2).__eq__, map(len, rows))):
+        return None
+    names, cells = zip(*rows)
+    if not all(map(width.__eq__, map(len, cells))):
+        return None
+    return names, tuple(zip(*map(_floats, cells)))
+
+
+def _fast_fields(names: Sequence, columns: Sequence[tuple[float, ...]]) -> tuple | None:
+    """(candidates, index, columns) when every row is valid, else None."""
+    for column in columns:
+        if not all(map(math.isfinite, column)) or min(column) <= 0.0:
+            return None
+    candidates, keys = zip(*map(_named, names))
+    index = dict(zip(keys, range(len(keys))))
+    return (candidates, index, tuple(columns)) if len(index) == len(keys) else None
+
+
+def _walked_fields(rows: Iterable, width: int) -> tuple:
+    """(candidates, index, columns) of ``rows``, validated one row after
+    another; raises the error of the first invalid row."""
+    names: list[str] = []
+    values: list[tuple[float, ...]] = []
+    index: dict[str, int] = {}
+    for row in rows:
+        raw_name, raw_values = _coerce(_pair, row, "a table row must be a (name, values) pair")
+        name, key = _named(raw_name)
+        if key in index:
+            raise DuplicateCandidate(f"duplicate candidate {name!r}")
+        index[key] = len(names)
+        vals = _coerce(_floats, raw_values, "table distances must be real numbers")
+        if len(vals) != width:
+            raise InvalidValue(
+                f"candidate {name!r} has {len(vals)} values for {width} references"
+            )
+        for v in vals:
+            if not math.isfinite(v) or v <= 0.0:
+                raise InvalidValue(
+                    f"distance {v!r} for candidate {name!r} must be finite and > 0"
+                )
+        names.append(name)
+        values.append(vals)
+    if not names:
+        raise EmptyInput("table has no candidate rows")
+    return tuple(names), index, tuple(zip(*values))
 
 
 class DistanceTable:
@@ -97,43 +182,36 @@ class DistanceTable:
         unit: Unit,
         references: Sequence[str],
         rows: Iterable[tuple[str, Sequence[float]]],
+        *,
+        _columns: tuple | None = None,
     ):
+        """``_columns``, used by ``parse_table`` in place of ``rows``, is the
+        raw candidate names and one float tuple per reference."""
         if not isinstance(unit, Unit):
             raise InvalidValue(f"table unit must be a Unit, got {_shown(unit)}")
-        refs = tuple(normalize_name(r) for r in references)
-        if not refs:
+        references = _coerce(tuple, references, "table references must be an iterable of names")
+        if not references:
             raise EmptySelection("a table needs at least one reference column")
-        keys = tuple(fold_name(r) for r in refs)
+        refs, keys = zip(*map(_named, references))
         if len(set(keys)) != len(refs):
             raise InvalidValue("duplicate reference name in table header")
-        names: list[str] = []
-        values: list[tuple[float, ...]] = []
-        index: dict[str, int] = {}
-        for raw_name, raw_values in rows:
-            name = normalize_name(raw_name)
-            key = fold_name(name)
-            if key in index:
-                raise DuplicateCandidate(f"duplicate candidate {name!r}")
-            index[key] = len(names)
-            vals = _coerce(_floats, raw_values, "table distances must be real numbers")
-            if len(vals) != len(refs):
-                raise InvalidValue(
-                    f"candidate {name!r} has {len(vals)} values for {len(refs)} references"
-                )
-            for v in vals:
-                if not math.isfinite(v) or v <= 0.0:
-                    raise InvalidValue(
-                        f"distance {v!r} for candidate {name!r} must be finite and > 0"
-                    )
-            names.append(name)
-            values.append(vals)
-        if not names:
-            raise EmptyInput("table has no candidate rows")
+        if _columns is None:
+            rows = _coerce(tuple, rows, "table rows must be an iterable of (name, values) pairs")
+        else:
+            rows = zip(_columns[0], zip(*_columns[1]))
+        try:
+            _columns = _columns or _plain_columns(rows, len(refs))
+            fields = _fast_fields(*_columns) if _columns else None
+        except (TypeError, ValueError, OverflowError, LpmatchError):
+            fields = None  # a row, name or value that the row walk below rejects
+        if fields is None:  # the row walk raises the first row's error
+            fields = _walked_fields(rows, len(refs))
+        candidates, index, columns = fields
         self._unit = unit
         self._references = refs
         self._keys = keys
-        self._candidates = tuple(names)
-        self._columns = tuple(zip(*values))
+        self._candidates = candidates
+        self._columns = columns
         self._index = index
 
     def _project(self, indices: Sequence[int]) -> "DistanceTable":
@@ -178,7 +256,7 @@ class DistanceTable:
         return profile.aligned_values(self._keys)
 
     def row_values(self, candidate: str) -> tuple[float, ...]:
-        key = fold_name(normalize_name(candidate))
+        key = _named(candidate)[1]
         if key not in self._index:
             raise KeyError(candidate)
         i = self._index[key]
@@ -274,6 +352,8 @@ def _builtin(unit: Unit) -> DistanceTable:
 def builtin_table(which: str | Unit) -> DistanceTable:
     """The embedded 24-locality table, ``which`` being 'km' or 'hours'."""
     unit = Unit.parse(which) if isinstance(which, str) else which
+    if not isinstance(unit, Unit):
+        raise InvalidValue(f"table unit must be a Unit, got {_shown(which)}")
     if unit is Unit.JORNADAS:
         raise InvalidValue("built-in tables exist in kilometers and hours only")
     return _builtin(unit)
@@ -297,23 +377,28 @@ def _records(reader):
         raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
 
 
-def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTable:
-    """Parse delimiter-separated text (comma, semicolon or tab) into a table.
+def _parsed_columns(text: str, delimiter: str, comma: bool) -> tuple | None:
+    """The header, raw candidate names and float value columns of ``text``,
+    or None unless every record is one that the row walk accepts.
 
-    The first row is a header naming the references; each following row is a
-    candidate name plus one distance per reference.  ``decimal`` is ``auto``,
-    ``dot`` or ``comma``; ``auto`` accepts decimal commas exactly when the
-    field delimiter is a semicolon or a tab.  Line and column numbers in
-    parse errors are 1-based.
+    Raises csv.Error or ValueError where the row walk raises ParseError.
     """
-    if decimal not in ("auto", "dot", "comma"):
-        raise InvalidValue(f"unknown decimal mode {_shown(decimal)}")
-    if not _coerce(str.strip, text, "table text must be a string"):
-        raise EmptyInput("no table data")
-    delimiter = _sniff_delimiter(text)
-    if decimal == "auto":
-        decimal = "comma" if delimiter in (";", "\t") else "dot"
+    records = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    # a record is blank exactly when its cells joined are
+    body = list(compress(records, map(str.strip, map("".join, records))))
+    width = len(body[0]) if body else 0
+    if len(body) < 2 or width < 2 or not all(map(width.__eq__, map(len, body))):
+        return None
+    names, *cells = zip(*body[1:])
+    if comma:
+        cells = [map(str.replace, column, repeat(","), repeat(".")) for column in cells]
+    # float() ignores the same surrounding whitespace that the walk strips
+    return [cell.strip() for cell in body[0]], names, [tuple(map(float, c)) for c in cells]
 
+
+def _walked_rows(text: str, delimiter: str, comma: bool) -> tuple[list, list]:
+    """The header and (name, values) rows of ``text``, read one record after
+    another; raises ParseError at the first malformed record."""
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     header: list[str] | None = None
     rows: list[tuple[str, tuple[float, ...]]] = []
@@ -335,7 +420,7 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
         values = []
         for col, cell in enumerate(record[1:], start=2):
             raw = cell.strip()
-            if decimal == "comma":
+            if comma:
                 raw = raw.replace(",", ".")
             try:
                 values.append(float(raw))
@@ -348,7 +433,35 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
         rows.append((record[0].strip(), tuple(values)))
     if header is None or not rows:
         raise EmptyInput("table has no candidate rows")
-    return DistanceTable(unit, header[1:], rows)
+    return header, rows
+
+
+def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTable:
+    """Parse delimiter-separated text (comma, semicolon or tab) into a table.
+
+    The first row is a header naming the references; each following row is a
+    candidate name plus one distance per reference.  ``decimal`` is ``auto``,
+    ``dot`` or ``comma``; ``auto`` accepts decimal commas exactly when the
+    field delimiter is a semicolon or a tab.  Line and column numbers in
+    parse errors are 1-based.
+    """
+    if decimal not in ("auto", "dot", "comma"):
+        raise InvalidValue(f"unknown decimal mode {_shown(decimal)}")
+    if not _coerce(str.strip, text, "table text must be a string"):
+        raise EmptyInput("no table data")
+    delimiter = _sniff_delimiter(text)
+    if decimal == "auto":
+        decimal = "comma" if delimiter in (";", "\t") else "dot"
+    comma = decimal == "comma"
+    try:
+        parsed = _parsed_columns(text, delimiter, comma)
+    except (csv.Error, ValueError):
+        parsed = None
+    if parsed is None:  # the record walk raises the first record's error
+        header, rows = _walked_rows(text, delimiter, comma)
+        return DistanceTable(unit, header[1:], rows)
+    header, names, columns = parsed
+    return DistanceTable(unit, header[1:], None, _columns=(names, columns))
 
 
 def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:

@@ -1,8 +1,14 @@
+import csv
+import io
+import math
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpmatch.core import Unit
+from lpmatch import dataset
+from lpmatch.core import Unit, fold_name
 from lpmatch.dataset import (
     REFERENCES,
     DistanceTable,
@@ -18,6 +24,7 @@ from lpmatch.errors import (
     EmptyName,
     EmptySelection,
     InvalidValue,
+    LpmatchError,
     ParseError,
     ReferenceNotFound,
 )
@@ -306,3 +313,296 @@ def test_subset_equals_a_table_built_afresh(table, data):
     for name in table.candidates:
         assert sub.row_values(f" {name.upper()} ") == fresh.row_values(name)
         assert sub.row(name) == fresh.row(name)
+
+
+# Ingestion parity.  The loader validates whole columns and re-walks the
+# input row by row only on failure; the oracle below is the row-by-row loader
+# written out in full, with its own name folding, so both must give the same
+# table or the same error (type, message, line and column).
+
+def oracle_fold(name):
+    collapsed = " ".join(name.split())
+    decomposed = unicodedata.normalize("NFKD", collapsed.casefold())
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+ORACLE_CANONICAL = {oracle_fold(n): n for n in builtin_table("km").candidates + REFERENCES}
+ORACLE_CANONICAL[oracle_fold("Fuencollana")] = "Fuenllana"
+
+
+def oracle_coerce(convert, value, requirement):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidValue(f"{requirement}, got {value!r}") from None
+
+
+def oracle_normalize(raw):
+    cleaned = " ".join(oracle_coerce(str.split, raw, "a name must be a string"))
+    if not cleaned:
+        raise EmptyName("name is empty or blank")
+    return ORACLE_CANONICAL.get(oracle_fold(cleaned), cleaned.title())
+
+
+def oracle_table(unit, references, rows):
+    """(unit, references, keys, candidates, index, columns) of a table."""
+    if not isinstance(unit, Unit):
+        raise InvalidValue(f"table unit must be a Unit, got {unit!r}")
+    refs = tuple(oracle_normalize(r) for r in references)
+    if not refs:
+        raise EmptySelection("a table needs at least one reference column")
+    keys = tuple(oracle_fold(r) for r in refs)
+    if len(set(keys)) != len(refs):
+        raise InvalidValue("duplicate reference name in table header")
+    names, values, index = [], [], {}
+    for raw_name, raw_values in rows:
+        name = oracle_normalize(raw_name)
+        key = oracle_fold(name)
+        if key in index:
+            raise DuplicateCandidate(f"duplicate candidate {name!r}")
+        index[key] = len(names)
+        vals = oracle_coerce(lambda v: tuple(map(float, v)), raw_values,
+                             "table distances must be real numbers")
+        if len(vals) != len(refs):
+            raise InvalidValue(
+                f"candidate {name!r} has {len(vals)} values for {len(refs)} references")
+        for v in vals:
+            if not math.isfinite(v) or v <= 0.0:
+                raise InvalidValue(f"distance {v!r} for candidate {name!r} must be finite and > 0")
+        names.append(name)
+        values.append(vals)
+    if not names:
+        raise EmptyInput("table has no candidate rows")
+    return unit, refs, keys, tuple(names), index, tuple(zip(*values))
+
+
+def oracle_parse(text, unit, decimal):
+    first = next((line for line in text.splitlines() if line.strip()), "")
+    delimiter = ";" if ";" in first else "\t" if "\t" in first else ","
+    if decimal == "auto":
+        decimal = "comma" if delimiter in (";", "\t") else "dot"
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    header, rows = None, []
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
+        line = reader.line_num
+        if not any(cell.strip() for cell in record):
+            continue
+        if header is None:
+            header = [cell.strip() for cell in record]
+            if len(header) < 2:
+                raise ParseError(f"line {line}: header needs a name column plus references",
+                                 line=line)
+            continue
+        if len(record) != len(header):
+            raise ParseError(f"line {line}: expected {len(header)} fields, found {len(record)}",
+                             line=line)
+        values = []
+        for col, cell in enumerate(record[1:], start=2):
+            raw = cell.strip()
+            if decimal == "comma":
+                raw = raw.replace(",", ".")
+            try:
+                values.append(float(raw))
+            except ValueError:
+                raise ParseError(f"line {line}, column {col}: {cell.strip()!r} is not a number",
+                                 line=line, column=col) from None
+        rows.append((record[0].strip(), tuple(values)))
+    if header is None or not rows:
+        raise EmptyInput("table has no candidate rows")
+    return oracle_table(unit, header[1:], rows)
+
+
+def outcome(load):
+    """What loading gives: the table's fields, or the error it raises."""
+    try:
+        table = load()
+    except LpmatchError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    if isinstance(table, tuple):
+        return table
+    return (table.unit, table.references, table._keys, table.candidates, table._index,
+            table.value_columns)
+
+
+GOOD_NAMES = ["a", "b c", " x ", "Fuenllana", "cózar", "ıbiza x", "straße", "ǆemal",
+              "río  peña", "zé", '"q,r"', "Munera"]
+BAD_NAMES = ["A", "FUENLLANA", "Fuencollana", "Cozar", "Ibiza X", "STRASSE", "", "  ", "B  C"]
+GOOD_CELLS = ["1", "2.5", " 3.25 ", "7", " 5 ", "1e-320", "0.01", "١٢", "1e308", "12"]
+COMMA_CELLS = ["4,75", "1,5", '"2,5"', " 0,25 "]
+BAD_CELLS = ["0", "-1", "0,0", "-0", "nan", "inf", "-inf", "1e309", "1_0", "", " ", "x",
+             "1.5.2", "9" * 400]
+TAILS = ['"unterminated', "bare\rreturn", "x\x00y"]
+
+
+@st.composite
+def table_texts(draw):
+    """(text, decimal): a valid table with up to three faults put in.
+
+    A fault is a bad or empty cell, a duplicate, blank or alias name, a
+    ragged row, a blank or whitespace-only line, or a line that the csv
+    reader refuses or reads differently (an unterminated quote, a bare
+    carriage return, a NUL).
+    """
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    decimal = draw(st.sampled_from(["auto", "dot", "comma"]))
+    comma = decimal == "comma" or (decimal == "auto" and delimiter != ",")
+    cells = GOOD_CELLS + (COMMA_CELLS if comma else [])
+    width = draw(st.integers(min_value=1, max_value=3))
+    refs = draw(st.lists(st.sampled_from(["r1", "r2", "r3", "El Toboso", "Munera"]),
+                         min_size=width, max_size=width, unique=True))
+    names = draw(st.lists(st.sampled_from(GOOD_NAMES), min_size=1, max_size=6, unique=True))
+    lines = [[name] + [draw(st.sampled_from(cells)) for _ in refs] for name in names]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        row = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        fault = draw(st.sampled_from(["cell", "name", "ragged", "blank", "line", "header"]))
+        if fault in ("cell", "name") and len(lines[row]) < 2:
+            continue  # a blank, cut or csv line, with no cell to spoil
+        if fault == "cell":
+            lines[row][draw(st.integers(1, len(lines[row]) - 1))] = draw(st.sampled_from(BAD_CELLS))
+        elif fault == "name":
+            lines[row][0] = draw(st.sampled_from(BAD_NAMES))
+        elif fault == "ragged":
+            lines[row] = lines[row][:-1] if draw(st.booleans()) else lines[row] + ["1"]
+        elif fault == "blank":
+            lines.insert(row, draw(st.sampled_from([[""], ["  \t "], [""] * (width + 1)])))
+        elif fault == "line":
+            lines.insert(row, [draw(st.sampled_from(TAILS))])
+        else:
+            refs[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["R1", " ", "r2"]))
+    text = "\n".join(delimiter.join(line) for line in [["name"] + refs] + lines)
+    return text + draw(st.sampled_from(["", "\n", "\r\n"])), decimal
+
+
+@given(table_texts(), st.sampled_from([Unit.KILOMETERS, Unit.HOURS, "km"]))
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+def test_parse_table_matches_the_row_by_row_oracle(text_and_decimal, unit):
+    text, decimal = text_and_decimal
+    expected = outcome(lambda: oracle_parse(text, unit, decimal))
+    assert outcome(lambda: parse_table(text, unit=unit, decimal=decimal)) == expected
+
+
+class OneShot(list):
+    """Values passed as an iterator, which a loader can read only once."""
+
+
+GOOD_VALUES = [1.0, 2.5, 7, "3.5", 1e-320, True, 1.7e308, 0.01]
+BAD_VALUES = [0.0, -1.0, math.nan, math.inf, 10**400, None, "x", 1j]
+
+
+@st.composite
+def table_rows(draw):
+    """(references, rows, as_generator): valid rows with up to three faults put in."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    refs = draw(st.lists(st.sampled_from(["r1", "r2", " r3 ", "Munera"]),
+                         min_size=width, max_size=width, unique=True))
+    names = draw(st.lists(st.sampled_from(GOOD_NAMES), min_size=1, max_size=5, unique=True))
+    rows = [[name, [draw(st.sampled_from(GOOD_VALUES)) for _ in refs]] for name in names]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        row = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+        fault = draw(st.sampled_from(["value", "name", "arity", "values", "references"]))
+        if fault in ("value", "arity") and type(row[1]) is not list:
+            continue  # its values were replaced by a fault already
+        if fault == "value" and row[1]:
+            row[1][draw(st.integers(0, len(row[1]) - 1))] = draw(st.sampled_from(BAD_VALUES))
+        elif fault == "name":
+            row[0] = draw(st.sampled_from(BAD_NAMES + [None, 3]))
+        elif fault == "arity":
+            row[1] = row[1][:-1] if draw(st.booleans()) else row[1] + [1.0]
+        elif fault == "values":
+            row[1] = draw(st.sampled_from([None, 5, "12", OneShot([1.0] * width)]))
+        else:
+            refs = draw(st.sampled_from([[], refs + ["R1"], refs[:-1] + [""]]))
+    return refs, [tuple(row) for row in rows], draw(st.booleans())
+
+
+@given(table_rows())
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+def test_distance_table_matches_the_row_by_row_oracle(case):
+    references, rows, as_generator = case
+
+    def given_rows():
+        fresh = [(name, iter(values) if isinstance(values, OneShot) else values)
+                 for name, values in rows]
+        return iter(fresh) if as_generator else fresh
+
+    expected = outcome(lambda: oracle_table(Unit.HOURS, references, given_rows()))
+    assert outcome(lambda: DistanceTable(Unit.HOURS, references, given_rows())) == expected
+
+
+@pytest.mark.parametrize("text, error, line, column", [
+    # a bad cell on line 2 comes before the csv error on line 3
+    ("name,a\nX,oops\nY,1\rZ,2\n", ParseError, 2, 2),
+    # a ragged row comes before a bad cell further down
+    ("name;a;b\nX;1\nY;x;2\n", ParseError, 2, None),
+    # a non-positive value comes before a duplicate name
+    ("name,a\nX,0\nx,1\n", InvalidValue, None, None),
+    # a duplicate name comes before a non-finite value
+    ("name,a\nX,1\nx,2\nY,inf\n", DuplicateCandidate, None, None),
+    # every parse error comes before a bad unit
+    ("name,a\nX,1\nY,\n", ParseError, 3, 2),
+])
+def test_the_first_error_in_row_order_wins(text, error, line, column):
+    with pytest.raises(error) as info:
+        parse_table(text, unit=Unit.KILOMETERS if line is None else "km")
+    assert getattr(info.value, "line", None) == line
+    assert getattr(info.value, "column", None) == column
+    assert outcome(lambda: oracle_parse(text, Unit.KILOMETERS if line is None else "km",
+                                        "auto"))[:2] == (error, str(info.value))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([("X", (0.0,)), ("", (1.0,))], r"^distance 0\.0 for candidate 'X' must be finite and > 0$"),
+    ([("", (1.0,)), ("X", (0.0,))], r"^name is empty or blank$"),
+    ([("X", (1.0,)), ("x", (2.0,)), ("Y", ("z",))], r"^duplicate candidate 'X'$"),
+    ([("X", ("z",)), ("x", (2.0,))], r"^table distances must be real numbers, got \('z',\)$"),
+    ([("X", (1.0, 2.0)), ("Y", (math.nan,))], r"^candidate 'X' has 2 values for 1 references$"),
+])
+def test_a_row_list_bad_in_two_ways_raises_the_first_rows_error(rows, message):
+    with pytest.raises(LpmatchError, match=message):
+        DistanceTable(Unit.KILOMETERS, ("a",), rows)
+
+
+def test_valid_input_takes_no_row_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("row walk taken")
+
+    monkeypatch.setattr(dataset, "_walked_rows", walk)
+    monkeypatch.setattr(dataset, "_walked_fields", walk)
+    km = builtin_table("km")
+    assert parse_table(serialize_table(km), unit=Unit.KILOMETERS) == km
+    text = "nombre;a;b\n\n x ;1,5; 2,25 \n  ;  \nY;\"3,5\";4\n"
+    assert parse_table(text, unit=Unit.HOURS).value_columns == ((1.5, 3.5), (2.25, 4.0))
+    assert len(DistanceTable(Unit.HOURS, ("a",), [("X", (1,)), ("Y", ("2.5",))])) == 2
+
+
+# Name folding: the fold of each code point, and one fold per table key.
+
+def test_fold_name_matches_the_generator_oracle_on_every_bmp_code_point():
+    for point in range(0x10000):
+        char = chr(point)
+        for text in (char, "a" + char):
+            assert fold_name(text) == oracle_fold(text), hex(point)
+
+
+@pytest.mark.parametrize("raw", ["ıbiza x", "IBIZA X", "Fuencollana", " fuenllana ", "cozar",
+                                 "x", "Puerto  Nuevo", "río peña 0007", "Ångström", "ǆemal",
+                                 "straße", "ΣΊΣΥΦΟΣ"])
+def test_table_keys_are_the_fold_of_the_normalized_name(raw):
+    table = DistanceTable(Unit.HOURS, ("a",), [(raw, (1.0,))])
+    assert table._index == {fold_name(normalize_name(raw)): 0}
+    assert table.candidates == (normalize_name(raw),)
+
+
+@given(st.text(min_size=1, max_size=8))
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+def test_one_fold_gives_the_key_of_the_normalized_name(raw):
+    assert fold_name(raw) == oracle_fold(raw)
+    if raw.split():
+        assert dataset._named(raw) == (oracle_normalize(raw),
+                                        oracle_fold(oracle_normalize(raw)))

@@ -1,11 +1,13 @@
-"""Seeded fuzzing of the library's value parameters: a result or an LpmatchError.
+"""Seeded fuzzing of the library's parameters: a result or an LpmatchError.
 
 Every public constructor and function of ``core``, ``dataset`` and
 ``analysis`` that takes numbers, names, tokens or units gets mixed values in
 those places: strings, None, bools, complex numbers, nan, +-inf, huge ints
 and nested tuples, beside ordinary values.  Parameters that take one of the
 package's own objects (a table, a target profile, a metric, a ranking) get a
-valid one.  A call must return or raise an ``LpmatchError``; any other
+valid one, except in the structural cases, which pass mixed values, lists
+and rows of the wrong shape where a table, its rows, a target or a metric
+belongs.  A call must return or raise an ``LpmatchError``; any other
 exception is a traceback that a library caller would see.  Seeded
 (``derandomize``) and bounded, so every run checks the same cases.
 """
@@ -20,6 +22,7 @@ from lpmatch.analysis import (
     CLASSIC_SOLUTION,
     Configuration,
     SolutionProfile,
+    gap_report,
     rank_candidates,
     relative_error_percent,
     target_profile,
@@ -112,6 +115,34 @@ def test_value_parameters_give_a_result_or_an_lpmatch_error(name, data):
         pass
 
 
+# values of the wrong shape where a sequence, a row or a package object belongs
+SHAPES = st.one_of(MIXED, st.lists(MIXED, max_size=3), st.tuples(MIXED),
+                   st.tuples(MIXED, MIXED, MIXED), st.dictionaries(st.text(max_size=2), MIXED))
+ROWS = st.one_of(SHAPES, st.lists(st.one_of(
+    SHAPES, st.tuples(st.sampled_from(["X", "Y"]), st.lists(USUAL, min_size=1, max_size=2)),
+    st.tuples(MIXED, SHAPES)), max_size=3))
+
+STRUCTURAL = {
+    "DistanceTable": lambda d: DistanceTable(
+        Unit.HOURS, d(st.one_of(SHAPES, st.just(("a", "b")))), d(ROWS)),
+    "builtin_table": lambda d: builtin_table(d(st.one_of(SHAPES, st.just(["km"])))),
+    "rank_candidates": lambda d: rank_candidates(
+        d(st.one_of(SHAPES, st.just(TABLE))), d(st.one_of(SHAPES, st.just(TARGET))),
+        d(st.one_of(SHAPES, st.just(MetricSpec(1))))),
+    "gap_report": lambda d: gap_report(
+        d(st.one_of(SHAPES, st.just(TABLE))), d(st.one_of(SHAPES, st.just(TARGET)))),
+}
+
+
+@given(name=st.sampled_from(sorted(STRUCTURAL)), data=st.data())
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+def test_structural_arguments_give_a_result_or_an_lpmatch_error(name, data):
+    try:
+        STRUCTURAL[name](data.draw)
+    except LpmatchError:
+        pass
+
+
 KM = Unit.KILOMETERS
 
 
@@ -135,6 +166,18 @@ KM = Unit.KILOMETERS
     (lambda: Unit.parse(None), r"^a unit must be a string, got None$"),
     (lambda: MetricSpec.parse(2), r"^a metric must be a string, got 2$"),
     (lambda: parse_table(None, unit=KM), r"^table text must be a string, got None$"),
+    (lambda: DistanceTable(Unit.HOURS, ("a",), [("c",)]),
+     r"^a table row must be a \(name, values\) pair, got \('c',\)$"),
+    (lambda: DistanceTable(Unit.HOURS, ("a",), [("b", (1.0,)), ("c", (2.0,), "d")]),
+     r"^a table row must be a \(name, values\) pair, got \('c', \(2\.0,\), 'd'\)$"),
+    (lambda: DistanceTable(Unit.HOURS, None, []),
+     r"^table references must be an iterable of names, got None$"),
+    (lambda: DistanceTable(Unit.HOURS, ("a",), None),
+     r"^table rows must be an iterable of \(name, values\) pairs, got None$"),
+    (lambda: builtin_table(["km"]), r"^table unit must be a Unit, got \['km'\]$"),
+    (lambda: rank_candidates(TABLE, TARGET, None), r"^metric must be a MetricSpec, got None$"),
+    (lambda: rank_candidates(TABLE, None, MetricSpec(1)), r"^target must be a Profile, got None$"),
+    (lambda: gap_report("t", TARGET), r"^table must be a DistanceTable, got 't'$"),
 ])
 def test_wrong_types_raise_invalid_value_naming_the_field(call, message):
     with pytest.raises(InvalidValue, match=message):
