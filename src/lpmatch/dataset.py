@@ -9,15 +9,16 @@ A ``DistanceTable`` stores its values by column, one value tuple per
 reference, so that rankings reduce whole columns and a reference subset picks
 columns without copying rows.
 
-Loading works column by column too.  ``parse_table`` reads every csv record
-at once, transposes the body and converts each value column with one
+``parse_table`` loads column by column too.  It reads every csv record at
+once, transposes the body and converts each value column with one
 ``map(float, ...)``; the table checks each column with C-level reductions
 (every value finite, the minimum above zero) and finds duplicate candidates
-from the size of its key index.  Each name is folded once: the fold that
-looks a name up among the canonical spellings is also its key.  Where any
-of that fails, the input is walked again one record and one row after
-another, and that walk alone decides which error is raised, with the same
-message, line and column as a row-by-row load.
+from the size of its key index.  Where any of that fails, the input is
+walked again one record and one row after another, and that walk alone
+decides which error is raised, with the same message, line and column as a
+row-by-row load.  Rows handed to the constructor as (name, values) pairs
+take the row walk directly.  Each name is folded once: the fold that looks
+a name up among the canonical spellings is also its key.
 """
 
 from __future__ import annotations
@@ -119,21 +120,6 @@ def _pair(row) -> tuple:
     return name, values
 
 
-def _plain_columns(rows: tuple, width: int) -> tuple | None:
-    """The names and float value columns of ``rows``, or None unless every
-    row is a (name, values) pair with ``width`` values.
-
-    Rows and values must have a length, so an iterator, which the row walk
-    could not read again, raises TypeError here before it is read.
-    """
-    if not rows or not all(map((2).__eq__, map(len, rows))):
-        return None
-    names, cells = zip(*rows)
-    if not all(map(width.__eq__, map(len, cells))):
-        return None
-    return names, tuple(zip(*map(_floats, cells)))
-
-
 def _fast_fields(names: Sequence, columns: Sequence[tuple[float, ...]]) -> tuple | None:
     """(candidates, index, columns) when every row is valid, else None."""
     for column in columns:
@@ -196,16 +182,15 @@ class DistanceTable:
         if len(set(keys)) != len(refs):
             raise InvalidValue("duplicate reference name in table header")
         if _columns is None:
-            rows = _coerce(tuple, rows, "table rows must be an iterable of (name, values) pairs")
-        else:
-            rows = zip(_columns[0], zip(*_columns[1]))
-        try:
-            _columns = _columns or _plain_columns(rows, len(refs))
-            fields = _fast_fields(*_columns) if _columns else None
-        except (TypeError, ValueError, OverflowError, LpmatchError):
-            fields = None  # a row, name or value that the row walk below rejects
-        if fields is None:  # the row walk raises the first row's error
+            rows = _coerce(iter, rows, "table rows must be an iterable of (name, values) pairs")
             fields = _walked_fields(rows, len(refs))
+        else:
+            try:
+                fields = _fast_fields(*_columns)
+            except LpmatchError:
+                fields = None  # a name that the row walk below rejects
+            if fields is None:  # the row walk raises the first row's error
+                fields = _walked_fields(zip(_columns[0], zip(*_columns[1])), len(refs))
         candidates, index, columns = fields
         self._unit = unit
         self._references = refs
