@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analysis, report
 from .core import MetricSpec, Profile, Unit, fold_name
-from .dataset import DistanceTable, builtin_table, parse_table, subset_references
+from .dataset import DistanceTable, _number, builtin_table, parse_table, subset_references
 from .errors import InvalidValue, LpmatchError
 
 _BUILTIN_PREFIX = "builtin:"
@@ -151,9 +151,8 @@ def _load_table(args: argparse.Namespace) -> DistanceTable:
 def _resolve_solution(token: str, table: DistanceTable) -> analysis.SolutionProfile:
     if token in analysis.BUILTIN_SOLUTIONS:
         return analysis.BUILTIN_SOLUTIONS[token]
-    parts = [p.strip() for p in token.split(",")]
     try:
-        values = tuple(float(p) for p in parts)
+        values = tuple(_number(part, False) for part in token.split(","))
     except ValueError:
         raise _UsageError(
             f"unknown solution {token!r}: expected 'classic', 'refined' or a "

@@ -32,7 +32,7 @@ from collections import namedtuple
 from enum import Enum
 from itertools import repeat, starmap
 from operator import mul, neg, truediv
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidValue,
@@ -123,7 +123,12 @@ class _Unmarked(dict):
 
 
 _UNMARKED_SIZE = 4096
-_UNMARKED = _Unmarked()
+# the dotless ı folds to i, as its title case I does
+_UNMARKED = _Unmarked({ord("ı"): "i"})
+
+# folded alternate spelling -> folded name: "Fuencollana" is an accepted
+# alternate spelling of the locality Fuenllana
+_ALIASES = {"fuencollana": "fuenllana"}
 
 
 def fold_name(name: str) -> str:
@@ -131,12 +136,15 @@ def fold_name(name: str) -> str:
 
     Trims, collapses internal whitespace runs, case-folds and strips
     diacritics, so that e.g. ' venta  de cardenas' matches 'Venta de
-    Cárdenas'.
+    Cárdenas'.  The dotless ı folds to i, and the alternate spelling
+    'Fuencollana' to 'fuenllana'.  No other code decides name equality.
     """
     collapsed = " ".join(_coerce(str.split, name, "a name must be a string"))
     if collapsed.isascii():  # NFKD leaves ASCII as it is, and casefold is lower
-        return collapsed.lower()
-    return unicodedata.normalize("NFKD", collapsed.casefold()).translate(_UNMARKED)
+        key = collapsed.lower()
+    else:
+        key = unicodedata.normalize("NFKD", collapsed.casefold()).translate(_UNMARKED)
+    return _ALIASES.get(key, key)
 
 
 class _Checked(tuple):
@@ -209,15 +217,8 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
         if len(keys) != len(self.names):
             raise InvalidValue("reference names must be unique after normalization")
 
-    @classmethod
-    def from_mapping(cls, entries: Mapping[str, float], unit: Unit) -> "Profile":
-        return cls(tuple(entries), tuple(entries.values()), unit)
-
     def items(self) -> Iterator[tuple[str, float]]:
         return zip(self.names, self.values)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.items())
 
     def select(self, names: Sequence[str]) -> "Profile":
         """Profile restricted to ``names`` (matched by folded key), in that order."""

@@ -17,8 +17,9 @@ from the size of its key index.  Where any of that fails, the input is
 walked again one record and one row after another, and that walk alone
 decides which error is raised, with the same message, line and column as a
 row-by-row load.  Rows handed to the constructor as (name, values) pairs
-take the row walk directly.  Each name is folded once: the fold that looks
-a name up among the canonical spellings is also its key.
+take the row walk directly.  A name's key, which every lookup matches, is
+``core.fold_name`` of its spelling, folded once; ``_named`` decides only how
+the name is displayed.  A cell is a number only if it is ASCII without ``_``.
 """
 
 from __future__ import annotations
@@ -81,13 +82,8 @@ _LOCALITIES = (
     "Villanueva de los Infantes",
 )
 
-# "Fuencollana" is an accepted alternate spelling of the locality Fuenllana.
-_ALIASES = {"Fuencollana": "Fuenllana"}
-
-# folded spelling -> (canonical name, its folded key)
-_CANONICAL_BY_KEY = {fold_name(name): (name, fold_name(name)) for name in _LOCALITIES + REFERENCES}
-_CANONICAL_BY_KEY.update((fold_name(alias), _CANONICAL_BY_KEY[fold_name(name)])
-                         for alias, name in _ALIASES.items())
+# folded key (of an alternate spelling too) -> canonical name
+_CANONICAL = {fold_name(name): name for name in _LOCALITIES + REFERENCES}
 
 
 def _named(raw: str) -> tuple[str, str]:
@@ -96,13 +92,7 @@ def _named(raw: str) -> tuple[str, str]:
     if not cleaned:
         raise EmptyName("name is empty or blank")
     key = fold_name(cleaned)
-    known = _CANONICAL_BY_KEY.get(key)
-    if known is not None:
-        return known
-    name = cleaned.title()
-    # title-casing leaves the fold unchanged, except for the dotless i: 'ı'
-    # folds to itself, but its title case 'I' folds to 'i'
-    return name, (fold_name(name) if "ı" in cleaned else key)
+    return _CANONICAL.get(key) or cleaned.title(), key
 
 
 def normalize_name(raw: str) -> str:
@@ -353,6 +343,18 @@ def _sniff_delimiter(text: str) -> str:
     return ","
 
 
+def _number(text: str, comma: bool) -> float:
+    """A cell or solution value read with ``float``, ``comma`` making ',' the
+    decimal point; raises ValueError, as for '1_0' or '١٢', unless it is ASCII
+    without ``_``."""
+    raw = text.strip()
+    if comma:
+        raw = raw.replace(",", ".")
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(raw)
+    return float(raw)
+
+
 def _records(reader):
     """The records of a csv reader; malformed csv (such as a field over the
     csv module's size limit) raises ParseError at the line reached."""
@@ -375,6 +377,8 @@ def _parsed_columns(text: str, delimiter: str, comma: bool) -> tuple | None:
     if len(body) < 2 or width < 2 or not all(map(width.__eq__, map(len, body))):
         return None
     names, *cells = zip(*body[1:])
+    if not all(j.isascii() and "_" not in j for j in map("".join, cells)):
+        return None  # a cell that _number may reject
     if comma:
         cells = [map(str.replace, column, repeat(","), repeat(".")) for column in cells]
     # float() ignores the same surrounding whitespace that the walk strips
@@ -404,11 +408,8 @@ def _walked_rows(text: str, delimiter: str, comma: bool) -> tuple[list, list]:
             )
         values = []
         for col, cell in enumerate(record[1:], start=2):
-            raw = cell.strip()
-            if comma:
-                raw = raw.replace(",", ".")
             try:
-                values.append(float(raw))
+                values.append(_number(cell, comma))
             except ValueError:
                 raise ParseError(
                     f"line {line}, column {col}: {cell.strip()!r} is not a number",

@@ -183,12 +183,10 @@ def build_ranking_table(
     metric: MetricSpec,
     k: int = 5,
     fmt: str = "md",
-    title: str | None = None,
+    *,
+    title: str,
 ) -> RenderedTable:
     """The target row (distance 0.00) followed by the k closest candidates."""
-    if title is None:
-        title = (f"{metric.label} distances to the target profile "
-                 f"({table.unit.short}, {len(table.references)} references)")
     header = (
         ("locality",)
         + tuple(f"{r} ({table.unit.short})" for r in table.references)
@@ -212,11 +210,10 @@ def build_error_listing(
     metric: MetricSpec,
     k: int = 3,
     fmt: str = "md",
-    title: str | None = None,
+    *,
+    title: str,
 ) -> RenderedTable:
     """Top-k candidates with distances and relative errors for one metric."""
-    if title is None:
-        title = f"Relative errors under {metric.label}"
     header = ("rank", "locality", metric.column, "relative error (%)")
     rows = tuple(
         (
@@ -230,10 +227,8 @@ def build_error_listing(
     return RenderedTable(title, header, rows, fmt)
 
 
-def build_gap_listing(gaps: GapReport, fmt: str = "md", title: str | None = None) -> RenderedTable:
+def build_gap_listing(gaps: GapReport, fmt: str = "md", *, title: str) -> RenderedTable:
     """One family's per-metric top-two gap rows plus the mean row."""
-    if title is None:
-        title = "Gap between the two closest candidates"
     header = ("metric", "first", "error 1 (%)", "second", "error 2 (%)", "gap (%)")
     rows = [
         (

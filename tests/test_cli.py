@@ -147,6 +147,12 @@ class TestUsageErrors:
         assert code == 2
         assert "fastest" in err
 
+    @pytest.mark.parametrize("token", ["2,2.37,2_5,2", "2,2.37,٢,2"])
+    def test_literal_solution_values_are_plain_ascii_decimals(self, capsys, token):
+        code, out, err = invoke(capsys, "rank", "--solution", token)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unknown solution {token!r}")
+
     def test_literal_solution_arity_mismatch(self, capsys):
         code, _, err = invoke(capsys, "rank", "--solution", "2,2.37")
         assert code == 2
@@ -193,6 +199,14 @@ class TestFileData:
         code, _, err = invoke(capsys, "rank", "--data", str(path))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("cell", ["1_0", "١٢"])
+    def test_a_cell_that_only_float_reads_exits_1(self, capsys, tmp_path, cell):
+        path = tmp_path / "digits.csv"
+        path.write_text(f"name,a\nX,1\nY,{cell}\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "rank", "--data", str(path), "--solution", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: line 3, column 2: {cell!r} is not a number\n"
 
     def test_field_over_the_csv_size_limit_exits_1(self, capsys, tmp_path):
         path = tmp_path / "long.csv"

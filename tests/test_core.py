@@ -88,11 +88,6 @@ class TestProfile:
         with pytest.raises(InvalidValue):
             Profile(("Cózar", "cozar"), (1.0, 2.0), Unit.KILOMETERS)
 
-    def test_from_mapping_keeps_order(self):
-        p = Profile.from_mapping({"b": 2.0, "a": 1.0}, Unit.HOURS)
-        assert p.names == ("b", "a")
-        assert p.as_dict() == {"b": 2.0, "a": 1.0}
-
     def test_select_matches_by_folded_name_in_given_order(self):
         sub = TARGET_KM.select(("munera", "EL TOBOSO"))
         assert sub.names == ("munera", "EL TOBOSO")

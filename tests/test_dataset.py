@@ -219,7 +219,7 @@ class TestSubsetReferences:
         km = builtin_table("km")
         sub = subset_references(km, ("Puerto Lápice", "Munera"))
         for name in km.candidates:
-            full = km.row(name).as_dict()
+            full = dict(km.row(name).items())
             assert sub.row_values(name) == (full["Puerto Lápice"], full["Munera"])
 
     def test_alias_lookups_still_work(self):
@@ -323,7 +323,8 @@ def test_subset_equals_a_table_built_afresh(table, data):
 def oracle_fold(name):
     collapsed = " ".join(name.split())
     decomposed = unicodedata.normalize("NFKD", collapsed.casefold())
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return "".join("i" if ch == "ı" else ch
+                   for ch in decomposed if not unicodedata.combining(ch))
 
 
 ORACLE_CANONICAL = {oracle_fold(n): n for n in builtin_table("km").candidates + REFERENCES}
@@ -408,6 +409,8 @@ def oracle_parse(text, unit, decimal):
             if decimal == "comma":
                 raw = raw.replace(",", ".")
             try:
+                if not raw.isascii() or "_" in raw:
+                    raise ValueError(raw)
                 values.append(float(raw))
             except ValueError:
                 raise ParseError(f"line {line}, column {col}: {cell.strip()!r} is not a number",
@@ -433,10 +436,10 @@ def outcome(load):
 GOOD_NAMES = ["a", "b c", " x ", "Fuenllana", "cózar", "ıbiza x", "straße", "ǆemal",
               "río  peña", "zé", '"q,r"', "Munera"]
 BAD_NAMES = ["A", "FUENLLANA", "Fuencollana", "Cozar", "Ibiza X", "STRASSE", "", "  ", "B  C"]
-GOOD_CELLS = ["1", "2.5", " 3.25 ", "7", " 5 ", "1e-320", "0.01", "١٢", "1e308", "12"]
+GOOD_CELLS = ["1", "2.5", " 3.25 ", "7", " 5 ", "1e-320", "0.01", "1e308", "12"]
 COMMA_CELLS = ["4,75", "1,5", '"2,5"', " 0,25 "]
 BAD_CELLS = ["0", "-1", "0,0", "-0", "nan", "inf", "-inf", "1e309", "1_0", "", " ", "x",
-             "1.5.2", "9" * 400]
+             "1.5.2", "9" * 400, "١٢"]
 TAILS = ['"unterminated', "bare\rreturn", "x\x00y"]
 
 

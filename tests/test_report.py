@@ -102,7 +102,8 @@ class TestRankingTable:
         km = builtin_table("km")
         target = target_profile(CLASSIC_SOLUTION, Unit.KILOMETERS)
         metric = MetricSpec.infinity()
-        doc = build_ranking_table(km, target, rank_candidates(km, target, metric), metric)
+        doc = build_ranking_table(km, target, rank_candidates(km, target, metric), metric,
+                                  title="T")
         assert doc.rows[0][0] == TARGET_LABEL
         assert doc.rows[0][-1] == "0.00"
         assert doc.rows[1][0] == "Alcubillas"
@@ -113,7 +114,8 @@ class TestRankingTable:
         table = subset_references(builtin_table("hours"), REFERENCES[:3])
         target = target_profile(REFINED_SOLUTION, Unit.HOURS, REFERENCES[:3])
         metric = MetricSpec.infinity()
-        doc = build_ranking_table(table, target, rank_candidates(table, target, metric), metric)
+        doc = build_ranking_table(table, target, rank_candidates(table, target, metric), metric,
+                                  title="T")
         names = [row[0] for row in doc.rows[1:]]
         distances = [row[-1] for row in doc.rows[1:]]
         assert names == ["Villanueva de los Infantes", "Alcubillas",
@@ -124,7 +126,8 @@ class TestRankingTable:
         km = builtin_table("km")
         target = target_profile(CLASSIC_SOLUTION, Unit.KILOMETERS)
         metric = MetricSpec.ln(2)
-        doc = build_ranking_table(km, target, rank_candidates(km, target, metric), metric, k=1)
+        doc = build_ranking_table(km, target, rank_candidates(km, target, metric), metric, k=1,
+                                  title="T")
         assert len(doc.rows) == 2
 
     def test_csv_round_trip_within_rounding(self):
@@ -132,7 +135,7 @@ class TestRankingTable:
         target = target_profile(CLASSIC_SOLUTION, Unit.KILOMETERS)
         metric = MetricSpec.ln(1)
         doc = build_ranking_table(
-            km, target, rank_candidates(km, target, metric), metric, fmt="csv"
+            km, target, rank_candidates(km, target, metric), metric, fmt="csv", title="T"
         )
         rows = list(csv.reader(io.StringIO(doc.text())))
         parsed = {row[0]: [float(cell) for cell in row[1:]] for row in rows[1:]}
