@@ -49,21 +49,7 @@ from .dataset import (
     serialize_table,
     subset_references,
 )
-from .errors import (
-    DegenerateTarget,
-    DuplicateCandidate,
-    EmptyInput,
-    EmptyName,
-    EmptySelection,
-    InsufficientCandidates,
-    InvalidValue,
-    LpmatchError,
-    ParseError,
-    ReferenceMismatch,
-    ReferenceNotFound,
-    UnitMismatch,
-    UnsupportedConversion,
-)
+from .errors import InvalidValue, LpmatchError, ParseError
 from .report import (
     EXTERNAL_ERROR_ROWS,
     FORMATS,

@@ -47,12 +47,7 @@ from .core import (
     magnitude,
 )
 from .dataset import REFERENCES, DistanceTable, builtin_table, subset_references
-from .errors import (
-    DegenerateTarget,
-    InsufficientCandidates,
-    InvalidValue,
-    UnitMismatch,
-)
+from .errors import InvalidValue
 
 __all__ = [
     "STANDARD_METRICS",
@@ -93,7 +88,7 @@ class SolutionProfile(_Checked, namedtuple("SolutionProfile", "label jornadas"))
 
     def __post_init__(self) -> None:
         if self.jornadas.unit is not Unit.JORNADAS:
-            raise UnitMismatch("a solution profile must be expressed in jornadas")
+            raise InvalidValue("a solution profile must be expressed in jornadas")
 
 
 CLASSIC_SOLUTION = SolutionProfile(
@@ -124,7 +119,7 @@ class Configuration(_Checked, namedtuple("Configuration", "solution unit referen
 
     def __post_init__(self) -> None:
         if self.unit is Unit.JORNADAS:
-            raise UnitMismatch("data tables exist in kilometers and hours, not jornadas")
+            raise InvalidValue("data tables exist in kilometers and hours, not jornadas")
         if not self.references:
             raise InvalidValue("a configuration needs at least one reference")
 
@@ -208,7 +203,7 @@ def _rankings(
     would name for the first of ``metrics`` to meet one.
     """
     if target.unit is not table.unit:
-        raise UnitMismatch(
+        raise InvalidValue(
             f"target is in {target.unit.value} but the table is in {table.unit.value}"
         )
     goal = table.aligned(target)
@@ -294,7 +289,7 @@ def _scale(target: Profile, metric: MetricSpec) -> float:
     """The target's magnitude under ``metric``, the base of relative errors."""
     scale = magnitude(metric, target)
     if scale <= 0.0:
-        raise DegenerateTarget("target profile has zero magnitude")
+        raise InvalidValue("target profile has zero magnitude")
     return scale
 
 
@@ -327,7 +322,7 @@ def _rank_family(
     """Rankings and relative-error scales of ``metrics`` and the standard
     metrics, each computed once, plus the gap report they give."""
     if len(table) < 2:
-        raise InsufficientCandidates("gap analysis needs at least two candidates")
+        raise InvalidValue("gap analysis needs at least two candidates")
     needed = tuple(dict.fromkeys((*metrics, *STANDARD_METRICS)))
     rankings = {metric: tuple(ranking)
                 for metric, ranking in _rankings(table, target, needed).items()}

@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import analysis, report
-from .core import MetricSpec, Profile, Unit, fold_name
-from .dataset import DistanceTable, _number, builtin_table, parse_table, subset_references
+from .core import MetricSpec, Profile, Unit, _number, fold_name
+from .dataset import DistanceTable, builtin_table, parse_table, subset_references
 from .errors import InvalidValue, LpmatchError
 
 _BUILTIN_PREFIX = "builtin:"
@@ -152,7 +152,7 @@ def _resolve_solution(token: str, table: DistanceTable) -> analysis.SolutionProf
     if token in analysis.BUILTIN_SOLUTIONS:
         return analysis.BUILTIN_SOLUTIONS[token]
     try:
-        values = tuple(_number(part, False) for part in token.split(","))
+        values = tuple(_number(part) for part in token.split(","))
     except ValueError:
         raise _UsageError(
             f"unknown solution {token!r}: expected 'classic', 'refined' or a "

@@ -21,7 +21,9 @@ Every value a public constructor or function is given is converted through
 one helper, ``_coerce``: a value of the wrong type (a string, None, a
 complex number, a nested tuple) or out of the conversion's range (nan or an
 infinite order, an int too large for a double) raises InvalidValue naming
-the field, never a bare TypeError or ValueError.
+the field, never a bare TypeError or ValueError.  A number given as text is
+read by ``_number``, the rule for data files too, which refuses '1_0' and
+non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -34,12 +36,7 @@ from itertools import repeat, starmap
 from operator import mul, neg, truediv
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    InvalidValue,
-    ReferenceMismatch,
-    UnitMismatch,
-    UnsupportedConversion,
-)
+from .errors import InvalidValue
 
 __all__ = [
     "Unit",
@@ -98,8 +95,25 @@ def _coerce(convert, value, requirement: str):
         raise InvalidValue(f"{requirement}, got {_shown(value)}") from None
 
 
+def _number(text: str, comma: bool = False) -> float:
+    """A number given as text, read with ``float``, ``comma`` making ',' the
+    decimal point; raises ValueError, as for '1_0' or '١٢', unless it is ASCII
+    without ``_``."""
+    raw = text.strip()
+    if comma:
+        raw = raw.replace(",", ".")
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(raw)
+    return float(raw)
+
+
+def _real(value: object) -> float:
+    return _number(value) if isinstance(value, str) else float(value)
+
+
 def _floats(values: Iterable[float]) -> tuple[float, ...]:
-    return tuple(map(float, values))
+    """The values as floats; one given as text is read by ``_number``."""
+    return tuple(map(_real, values))
 
 
 def _strings(values: Iterable[object]) -> tuple[str, ...]:
@@ -227,20 +241,20 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
         for name in names:
             key = fold_name(name)
             if key not in by_key:
-                raise ReferenceMismatch(f"profile has no reference named {name!r}")
+                raise InvalidValue(f"profile has no reference named {name!r}")
             values.append(by_key[key])
         return Profile(tuple(names), tuple(values), self.unit)
 
     def aligned_values(self, keys: Sequence[str]) -> tuple[float, ...]:
         """Values in the order of the folded reference ``keys``.
 
-        Raises ReferenceMismatch unless the profile covers exactly those
+        Raises InvalidValue unless the profile covers exactly those
         references.
         """
         by_key = {fold_name(n): v for n, v in self.items()}
         if len(keys) != len(by_key) or not all(k in by_key for k in keys):
             odd = sorted(set(keys) ^ set(by_key))
-            raise ReferenceMismatch(
+            raise InvalidValue(
                 "profiles do not cover the same references (unmatched: " + ", ".join(odd) + ")"
             )
         return tuple(by_key[k] for k in keys)
@@ -381,7 +395,7 @@ def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
     Raises InvalidValue when the distance is not a finite double.
     """
     if x.unit is not y.unit:
-        raise UnitMismatch(f"cannot compare a {x.unit.value} profile with a {y.unit.value} one")
+        raise InvalidValue(f"cannot compare a {x.unit.value} profile with a {y.unit.value} one")
     theirs = y.aligned_values(tuple(fold_name(n) for n in x.names))
     return _norm(spec, (abs(a - b) for a, b in zip(x.values, theirs)))
 
@@ -394,7 +408,7 @@ def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) ->
     other.  ``target=Unit.JORNADAS`` returns ``p`` unchanged.
     """
     if p.unit is not Unit.JORNADAS:
-        raise UnsupportedConversion(
+        raise InvalidValue(
             f"profiles can only be converted out of jornadas, not from {p.unit.value}"
         )
     if target is Unit.JORNADAS:

@@ -31,17 +31,8 @@ from functools import lru_cache
 from itertools import compress, repeat
 from typing import Iterable, Sequence
 
-from .core import Profile, Unit, _coerce, _floats, _shown, fold_name
-from .errors import (
-    DuplicateCandidate,
-    EmptyInput,
-    EmptyName,
-    EmptySelection,
-    InvalidValue,
-    LpmatchError,
-    ParseError,
-    ReferenceNotFound,
-)
+from .core import Profile, Unit, _coerce, _floats, _number, _shown, fold_name
+from .errors import InvalidValue, LpmatchError, ParseError
 
 __all__ = [
     "REFERENCES",
@@ -90,7 +81,7 @@ def _named(raw: str) -> tuple[str, str]:
     """``normalize_name(raw)`` and its ``fold_name`` key, from one fold."""
     cleaned = " ".join(_coerce(str.split, raw, "a name must be a string"))
     if not cleaned:
-        raise EmptyName("name is empty or blank")
+        raise InvalidValue("name is empty or blank")
     key = fold_name(cleaned)
     return _CANONICAL.get(key) or cleaned.title(), key
 
@@ -130,7 +121,7 @@ def _walked_fields(rows: Iterable, width: int) -> tuple:
         raw_name, raw_values = _coerce(_pair, row, "a table row must be a (name, values) pair")
         name, key = _named(raw_name)
         if key in index:
-            raise DuplicateCandidate(f"duplicate candidate {name!r}")
+            raise InvalidValue(f"duplicate candidate {name!r}")
         index[key] = len(names)
         vals = _coerce(_floats, raw_values, "table distances must be real numbers")
         if len(vals) != width:
@@ -145,7 +136,7 @@ def _walked_fields(rows: Iterable, width: int) -> tuple:
         names.append(name)
         values.append(vals)
     if not names:
-        raise EmptyInput("table has no candidate rows")
+        raise InvalidValue("table has no candidate rows")
     return tuple(names), index, tuple(zip(*values))
 
 
@@ -167,7 +158,7 @@ class DistanceTable:
             raise InvalidValue(f"table unit must be a Unit, got {_shown(unit)}")
         references = _coerce(tuple, references, "table references must be an iterable of names")
         if not references:
-            raise EmptySelection("a table needs at least one reference column")
+            raise InvalidValue("a table needs at least one reference column")
         refs, keys = zip(*map(_named, references))
         if len(set(keys)) != len(refs):
             raise InvalidValue("duplicate reference name in table header")
@@ -225,7 +216,7 @@ class DistanceTable:
     def aligned(self, profile: Profile) -> tuple[float, ...]:
         """``profile``'s values in this table's reference order, matched by folded name.
 
-        Raises ReferenceMismatch unless the profile covers exactly the
+        Raises InvalidValue unless the profile covers exactly the
         table's references.
         """
         return profile.aligned_values(self._keys)
@@ -343,18 +334,6 @@ def _sniff_delimiter(text: str) -> str:
     return ","
 
 
-def _number(text: str, comma: bool) -> float:
-    """A cell or solution value read with ``float``, ``comma`` making ',' the
-    decimal point; raises ValueError, as for '1_0' or '١٢', unless it is ASCII
-    without ``_``."""
-    raw = text.strip()
-    if comma:
-        raw = raw.replace(",", ".")
-    if not raw.isascii() or "_" in raw:
-        raise ValueError(raw)
-    return float(raw)
-
-
 def _records(reader):
     """The records of a csv reader; malformed csv (such as a field over the
     csv module's size limit) raises ParseError at the line reached."""
@@ -418,7 +397,7 @@ def _walked_rows(text: str, delimiter: str, comma: bool) -> tuple[list, list]:
                 ) from None
         rows.append((record[0].strip(), tuple(values)))
     if header is None or not rows:
-        raise EmptyInput("table has no candidate rows")
+        raise InvalidValue("table has no candidate rows")
     return header, rows
 
 
@@ -434,7 +413,7 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
     if decimal not in ("auto", "dot", "comma"):
         raise InvalidValue(f"unknown decimal mode {_shown(decimal)}")
     if not _coerce(str.strip, text, "table text must be a string"):
-        raise EmptyInput("no table data")
+        raise InvalidValue("no table data")
     delimiter = _sniff_delimiter(text)
     if decimal == "auto":
         decimal = "comma" if delimiter in (";", "\t") else "dot"
@@ -463,12 +442,12 @@ def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:
 def subset_references(table: DistanceTable, keep: Sequence[str]) -> DistanceTable:
     """Restrict a table to the given reference columns, keeping table order."""
     if not keep:
-        raise EmptySelection("must keep at least one reference")
+        raise InvalidValue("must keep at least one reference")
     available = set(table._keys)
     wanted: set[str] = set()
     for raw in keep:
         key = fold_name(raw)
         if key not in available:
-            raise ReferenceNotFound(f"unknown reference {raw!r}")
+            raise InvalidValue(f"unknown reference {raw!r}")
         wanted.add(key)
     return table._project([i for i, key in enumerate(table._keys) if key in wanted])

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+There are two kinds of data error.  ``InvalidValue`` is a value or argument
+outside its domain: a negative distance, a blank or duplicate name, a unit
+that does not fit, references that do not match, an empty table or
+selection, a target of zero magnitude.  ``ParseError`` is malformed table
+text, with the line and column where known.  Both are ``LpmatchError``, and
+the CLI maps both to exit 1.
+"""
 
 
 class LpmatchError(Exception):
@@ -6,23 +14,7 @@ class LpmatchError(Exception):
 
 
 class InvalidValue(LpmatchError):
-    """A numeric or structural input is out of its allowed domain."""
-
-
-class UnitMismatch(LpmatchError):
-    """Two profiles (or a profile and a table) carry different units."""
-
-
-class ReferenceMismatch(LpmatchError):
-    """Two profiles do not cover the same set of reference names."""
-
-
-class UnsupportedConversion(LpmatchError):
-    """Requested a unit conversion outside jornadas -> {km, hours}."""
-
-
-class EmptyName(LpmatchError):
-    """A candidate or reference name is empty or blank."""
+    """A value or argument is outside its domain."""
 
 
 class ParseError(LpmatchError):
@@ -32,27 +24,3 @@ class ParseError(LpmatchError):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-class DuplicateCandidate(LpmatchError):
-    """Two table rows name the same candidate after normalization."""
-
-
-class EmptyInput(LpmatchError):
-    """A table source contains no candidate rows."""
-
-
-class ReferenceNotFound(LpmatchError):
-    """A requested reference name is not a column of the table."""
-
-
-class EmptySelection(LpmatchError):
-    """A reference subset selection would leave no columns."""
-
-
-class DegenerateTarget(LpmatchError):
-    """The target profile has zero magnitude, so relative error is undefined."""
-
-
-class InsufficientCandidates(LpmatchError):
-    """An operation needs at least two ranked candidates."""

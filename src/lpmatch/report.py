@@ -9,7 +9,7 @@ from zero; all underlying computation stays at full precision.
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -55,15 +55,16 @@ FORMATS = ("md", "csv", "jsonl")
 TARGET_LABEL = "LUGAR DE LA MANCHA"
 
 
-# Two decimals of the largest finite double take 311 significant digits.
-_WIDE_PRECISION = 320
+# Two decimals of the largest finite double take 311 significant digits.  The
+# rounding uses this context alone, so the caller's decimal context (its
+# traps, precision and exponent limits) never changes or breaks the text.
+_CONTEXT = Context(prec=320, rounding=ROUND_HALF_UP)
+_CENT = Decimal("0.01")
 
 
 def format_2dp(x: float) -> str:
     """Two-decimal display form, ties rounded away from zero."""
-    with localcontext() as context:
-        context.prec = _WIDE_PRECISION
-        return str(Decimal(repr(float(x))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(float(x))).quantize(_CENT, context=_CONTEXT))
 
 
 class ExternalResultRow(NamedTuple):
@@ -192,7 +193,7 @@ def build_ranking_table(
         + tuple(f"{r} ({table.unit.short})" for r in table.references)
         + (metric.column,)
     )
-    target_values = target.select(table.references).values
+    target_values = table.aligned(target)  # the alignment the ranking used
     rows = [(TARGET_LABEL,) + tuple(format_2dp(v) for v in target_values) + (format_2dp(0.0),)]
     for entry in top_k(ranking, k):
         values = table.row_values(entry.candidate)

@@ -1,4 +1,4 @@
-"""Seeded fuzzing of the library's parameters: a result or an LpmatchError.
+"""Seeded fuzzing of the library's parameters: a result or a data error.
 
 Every public constructor and function of ``core``, ``dataset`` and
 ``analysis`` that takes numbers, names, tokens or units gets mixed values in
@@ -7,9 +7,10 @@ and nested tuples, beside ordinary values.  Parameters that take one of the
 package's own objects (a table, a target profile, a metric, a ranking) get a
 valid one, except in the structural cases, which pass mixed values, lists
 and rows of the wrong shape where a table, its rows, a target or a metric
-belongs.  A call must return or raise an ``LpmatchError``; any other
-exception is a traceback that a library caller would see.  Seeded
-(``derandomize``) and bounded, so every run checks the same cases.
+belongs.  A call must return or raise exactly ``InvalidValue`` or
+``ParseError``, the package's two data errors; any other exception is a
+traceback that a library caller would see.  Seeded (``derandomize``) and
+bounded, so every run checks the same cases.
 """
 
 import math
@@ -45,7 +46,7 @@ from lpmatch.dataset import (
     parse_table,
     subset_references,
 )
-from lpmatch.errors import InvalidValue, LpmatchError
+from lpmatch.errors import InvalidValue, LpmatchError, ParseError
 
 ODD = st.one_of(
     st.sampled_from([None, True, False, 1j, complex(2, 0), math.nan, math.inf, -math.inf,
@@ -61,6 +62,13 @@ MIXED = st.one_of(ODD, USUAL)
 TABLE = DistanceTable(Unit.KILOMETERS, ("a", "b"), [("X", (1.0, 2.0)), ("Y", (3.0, 1.5))])
 TARGET = Profile(("a", "b"), (2.0, 2.0), Unit.KILOMETERS)
 RANKING = rank_candidates(TABLE, TARGET, MetricSpec(1))
+
+
+def returns_or_raises_a_data_error(call, draw):
+    try:
+        call(draw)
+    except LpmatchError as exc:
+        assert type(exc) in (InvalidValue, ParseError), repr(exc)
 
 
 def names_and_values(draw, size):
@@ -109,10 +117,7 @@ CALLS = {
 @given(name=st.sampled_from(sorted(CALLS)), data=st.data())
 @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
 def test_value_parameters_give_a_result_or_an_lpmatch_error(name, data):
-    try:
-        CALLS[name](data.draw)
-    except LpmatchError:
-        pass
+    returns_or_raises_a_data_error(CALLS[name], data.draw)
 
 
 # values of the wrong shape where a sequence, a row or a package object belongs
@@ -137,10 +142,7 @@ STRUCTURAL = {
 @given(name=st.sampled_from(sorted(STRUCTURAL)), data=st.data())
 @settings(max_examples=800, deadline=None, derandomize=True, database=None)
 def test_structural_arguments_give_a_result_or_an_lpmatch_error(name, data):
-    try:
-        STRUCTURAL[name](data.draw)
-    except LpmatchError:
-        pass
+    returns_or_raises_a_data_error(STRUCTURAL[name], data.draw)
 
 
 KM = Unit.KILOMETERS

@@ -1,7 +1,10 @@
 import csv
+import decimal
+import hashlib
 import io
 import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +54,20 @@ class TestFormat2dp:
         text = format_2dp(value)
         assert text.endswith(".00")
         assert Decimal(text) == Decimal(repr(value))
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "jsonl"])
+    def test_the_callers_decimal_context_changes_nothing(self, tmp_path, fmt):
+        digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
+                             .read_text(encoding="utf-8"))["reproduce"][fmt]
+        with decimal.localcontext() as hostile:
+            hostile.traps[decimal.Inexact] = True
+            hostile.traps[decimal.Rounded] = True
+            hostile.Emax = 20
+            hostile.prec = 5
+            assert format_2dp(9.145) == "9.15"
+            assert format_2dp(1e26) == "100000000000000000000000000.00"
+            written = write_document_set(tmp_path, fmt)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == digests
 
 
 class TestRenderedTable:
@@ -121,6 +138,14 @@ class TestRankingTable:
         assert names == ["Villanueva de los Infantes", "Alcubillas",
                          "Torres de Montiel", "Cózar", "Fuenllana"]
         assert distances == ["1.37", "2.66", "2.86", "2.88", "3.08"]
+
+    def test_target_with_a_reference_the_table_lacks_is_refused(self):
+        table = subset_references(builtin_table("km"), REFERENCES[:3])
+        target = target_profile(CLASSIC_SOLUTION, Unit.KILOMETERS)  # all four references
+        metric = MetricSpec.ln(2)
+        ranking = rank_candidates(builtin_table("km"), target, metric)
+        with pytest.raises(InvalidValue, match=r"\(unmatched: munera\)$"):
+            build_ranking_table(table, target, ranking, metric, title="T")
 
     def test_k1_renders_two_rows(self):
         km = builtin_table("km")
