@@ -3,8 +3,12 @@
 The library models unit-tagged distance profiles, the Lp metric family
 (L1, L2, general Ln and the exact L-infinity), candidate-by-reference
 distance tables, deterministic nearest-profile rankings with relative-error
-and gap statistics, and document rendering for the complete built-in
-analysis of 24 Campo de Montiel localities against four reference points.
+and gap statistics, and document rendering.
+
+The paper's complete built-in analysis of 24 Campo de Montiel localities
+against four reference points lives in ``lpmatch.paper``.  Its public names
+are resolved here on first use (PEP 562), so ``import lpmatch`` does not load
+it.
 """
 
 from .analysis import (
@@ -12,20 +16,13 @@ from .analysis import (
     CLASSIC_SOLUTION,
     REFINED_SOLUTION,
     STANDARD_METRICS,
-    Configuration,
-    FamilyStats,
     GapRecord,
     GapReport,
-    GridSummary,
     RankingEntry,
     SolutionProfile,
-    SweepResult,
     gap_report,
     rank_candidates,
     relative_error_percent,
-    run_builtin_grid,
-    summarize_conclusions,
-    sweep,
     target_profile,
     top_k,
 )
@@ -51,17 +48,27 @@ from .dataset import (
 )
 from .errors import InvalidValue, LpmatchError, ParseError
 from .report import (
-    EXTERNAL_ERROR_ROWS,
     FORMATS,
     TARGET_LABEL,
-    ExternalResultRow,
     RenderedTable,
-    build_error_table,
-    build_gap_table,
     build_ranking_table,
-    build_summary_table,
     format_2dp,
-    write_document_set,
 )
 
 __version__ = "0.1.0"
+
+# the public names of ``paper``, loaded on first use
+_PAPER_NAMES = frozenset({
+    "Configuration", "SweepResult", "FamilyStats", "GridSummary", "GRID_REFERENCE_SUBSETS",
+    "sweep", "run_builtin_grid", "summarize_conclusions", "ExternalResultRow",
+    "EXTERNAL_ERROR_ROWS", "build_error_table", "build_gap_table", "build_summary_table",
+    "build_document_set", "write_document_set",
+})
+
+
+def __getattr__(name: str):
+    if name in _PAPER_NAMES:
+        from . import paper
+
+        return getattr(paper, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,8 +18,9 @@ largest difference, which is at most any of its Lp distances.  While sqrt(R)
 times the largest distance stays below half the largest double no L2 can
 overflow; beyond that every row's L2 is computed as before.  So rankings,
 tie order and errors are the ones a full L2 pass gives.  ``gap_report`` and
-``sweep`` rank a family of metrics from one set of differences, with the L2
-ranking's distances as the other metrics' tie-breaks.  A distance or
+the paper grid's ``sweep`` (see ``paper``) rank a family of metrics from one
+set of differences, with the L2 ranking's distances as the other metrics'
+tie-breaks.  A distance or
 relative error that is not a finite double raises InvalidValue.
 """
 
@@ -30,7 +31,7 @@ import sys
 from collections import namedtuple
 from itertools import compress, count, islice, repeat
 from operator import eq, index, itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     DEFAULT_RATES,
@@ -46,7 +47,7 @@ from .core import (
     convert,
     magnitude,
 )
-from .dataset import REFERENCES, DistanceTable, builtin_table, subset_references
+from .dataset import REFERENCES, DistanceTable
 from .errors import InvalidValue
 
 __all__ = [
@@ -56,20 +57,13 @@ __all__ = [
     "REFINED_SOLUTION",
     "BUILTIN_SOLUTIONS",
     "RankingEntry",
-    "Configuration",
     "GapRecord",
     "GapReport",
-    "SweepResult",
-    "GridSummary",
-    "FamilyStats",
     "target_profile",
     "rank_candidates",
     "top_k",
     "relative_error_percent",
     "gap_report",
-    "sweep",
-    "run_builtin_grid",
-    "summarize_conclusions",
 ]
 
 # The metric family every gap report is computed over.
@@ -108,35 +102,6 @@ class RankingEntry(NamedTuple):
     rank: int
 
 
-class Configuration(_Checked, namedtuple("Configuration", "solution unit references metric")):
-    """One cell of the analysis grid."""
-
-    __slots__ = ()
-
-    def __new__(cls, solution: SolutionProfile, unit: Unit, references: Sequence[str],
-                metric: MetricSpec) -> "Configuration":
-        return super().__new__(cls, solution, unit, tuple(references), metric)
-
-    def __post_init__(self) -> None:
-        if self.unit is Unit.JORNADAS:
-            raise InvalidValue("data tables exist in kilometers and hours, not jornadas")
-        if not self.references:
-            raise InvalidValue("a configuration needs at least one reference")
-
-    @property
-    def key(self) -> tuple[str, str, int, str]:
-        """(solution label, unit, reference count, metric token) join key."""
-        return (self.solution.label, self.unit.short, len(self.references), self.metric.token)
-
-    @property
-    def family_label(self) -> str:
-        return f"{self.solution.label} {self.unit.short} {len(self.references)}-ref"
-
-    @property
-    def label(self) -> str:
-        return f"{self.family_label} {self.metric.label}"
-
-
 class GapRecord(NamedTuple):
     metric: MetricSpec
     first: str
@@ -151,14 +116,6 @@ class GapReport(NamedTuple):
 
     records: tuple[GapRecord, ...]
     mean_gap: float
-
-
-class SweepResult(NamedTuple):
-    ranking: tuple[RankingEntry, ...]
-    errors: tuple[float, ...]  # relative error (%) aligned with ranking
-    gaps: GapReport  # shared by the three metric configurations of a family
-    table: DistanceTable  # the family's table, restricted to its references
-    target: Profile  # the solution converted to the table's unit and references
 
 
 def target_profile(
@@ -338,121 +295,3 @@ def _rank_family(
         )
     mean = math.fsum(r.gap for r in records) / len(records)
     return rankings, scales, GapReport(tuple(records), mean)
-
-
-def sweep(
-    solutions: Sequence[SolutionProfile],
-    units: Sequence[Unit],
-    reference_subsets: Sequence[Sequence[str]],
-    metrics: Sequence[MetricSpec],
-    *,
-    rates: ConversionRates = DEFAULT_RATES,
-) -> dict[Configuration, SweepResult]:
-    """Evaluate the full cross-product of configurations, deterministically.
-
-    Results are keyed by Configuration in a fixed iteration order (solution,
-    then reference subset, then unit, then metric).  The gap report attached
-    to each result is the one of its (solution, subset, unit) family and is
-    always computed over the standard L_inf/L_1/L_2 family.  Each result
-    also carries the family's restricted built-in table and converted target.
-    """
-    results: dict[Configuration, SweepResult] = {}
-    for solution in solutions:
-        for refs in reference_subsets:
-            for unit in units:
-                restricted = subset_references(builtin_table(unit), refs)
-                target = target_profile(solution, unit, restricted.references, rates)
-                rankings, scales, family_gaps = _rank_family(restricted, target, metrics)
-                for metric in metrics:
-                    ranking = rankings[metric]
-                    errors = tuple(_percent(entry.distance, scales[metric]) for entry in ranking)
-                    config = Configuration(solution, unit, restricted.references, metric)
-                    results[config] = SweepResult(ranking, errors, family_gaps,
-                                                  restricted, target)
-    return results
-
-
-GRID_REFERENCE_SUBSETS = (REFERENCES, REFERENCES[:3])  # with and without Munera
-
-
-def run_builtin_grid(rates: ConversionRates = DEFAULT_RATES) -> dict[Configuration, SweepResult]:
-    """The standard grid: 2 solutions x 2 subsets x 2 units x 3 metrics."""
-    return sweep(
-        (CLASSIC_SOLUTION, REFINED_SOLUTION),
-        (Unit.KILOMETERS, Unit.HOURS),
-        GRID_REFERENCE_SUBSETS,
-        STANDARD_METRICS,
-        rates=rates,
-    )
-
-
-class FamilyStats(NamedTuple):
-    """Aggregates for one (solution, unit, reference subset) family."""
-
-    label: str
-    solution: str
-    unit: Unit
-    references: tuple[str, ...]
-    mean_gap: float
-    mean_top_error: float  # mean over the metrics of the winner's relative error
-
-
-class GridSummary(NamedTuple):
-    """Machine-checkable conclusions drawn from a full grid sweep."""
-
-    top_candidates: tuple[tuple[Configuration, str], ...]
-    families: tuple[FamilyStats, ...]
-    lowest_error_family: FamilyStats
-    highest_mean_gap_family: FamilyStats
-    lowest_mean_gap_family: FamilyStats
-    unit_pairs_agree: bool
-    disagreeing_pairs: tuple[tuple[str, int, str], ...]  # (solution, refs, metric)
-
-
-def summarize_conclusions(results: Mapping[Configuration, SweepResult]) -> GridSummary:
-    """Condense a full sweep into the headline facts.
-
-    The unit-agreement check compares the top-5 candidate NAME SETS of the
-    kilometers run and the hours run of each (solution, subset, metric)
-    combination; the two units may order near-ties differently.
-    """
-    top = tuple((config, result.ranking[0].candidate) for config, result in results.items())
-
-    family_rows: dict[tuple[str, str, int], list[tuple[Configuration, SweepResult]]] = {}
-    for config, result in results.items():
-        family_rows.setdefault(config.key[:3], []).append((config, result))
-    families = []
-    for members in family_rows.values():
-        config = members[0][0]
-        mean_top_error = math.fsum(res.errors[0] for _, res in members) / len(members)
-        families.append(
-            FamilyStats(
-                label=config.family_label,
-                solution=config.solution.label,
-                unit=config.unit,
-                references=config.references,
-                mean_gap=members[0][1].gaps.mean_gap,
-                mean_top_error=mean_top_error,
-            )
-        )
-    families_t = tuple(families)
-
-    by_units: dict[tuple[str, int, str], dict[str, frozenset[str]]] = {}
-    for config, result in results.items():
-        label, unit, nrefs, metric = config.key
-        names = frozenset(e.candidate for e in result.ranking[:5])
-        by_units.setdefault((label, nrefs, metric), {})[unit] = names
-    disagreeing = tuple(
-        key for key, per_unit in by_units.items()
-        if len(per_unit) > 1 and len(set(per_unit.values())) > 1
-    )
-
-    return GridSummary(
-        top_candidates=top,
-        families=families_t,
-        lowest_error_family=min(families_t, key=lambda f: f.mean_top_error),
-        highest_mean_gap_family=max(families_t, key=lambda f: f.mean_gap),
-        lowest_mean_gap_family=min(families_t, key=lambda f: f.mean_gap),
-        unit_pairs_agree=not disagreeing,
-        disagreeing_pairs=disagreeing,
-    )

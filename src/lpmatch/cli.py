@@ -3,7 +3,8 @@
 Subcommands: ``rank`` (candidates closest to a target), ``errors`` (relative
 errors of the top candidates), ``gaps`` (second-minus-first gap analysis),
 ``sweep`` (the full built-in analysis grid on stdout) and ``reproduce`` (the
-complete document set written to a directory).
+complete document set written to a directory).  Only ``sweep`` and
+``reproduce`` import ``paper``, the module of the built-in grid.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags or tokens, unreadable
 data file), 1 on data errors (malformed file content, incompatible inputs).
@@ -222,7 +223,9 @@ def _cmd_gaps(args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    documents = report.build_document_set(analysis.run_builtin_grid(), args.format)
+    from . import paper
+
+    documents = paper.build_document_set(paper.run_builtin_grid(), args.format)
     # markdown documents read better separated by a blank line; csv and jsonl
     # must stay gap-free streams
     separator = "\n" if args.format == "md" else ""
@@ -230,7 +233,9 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> str:
-    written = report.write_document_set(args.outdir, fmt=args.format)
+    from . import paper
+
+    written = paper.write_document_set(args.outdir, fmt=args.format)
     return "".join(f"{path}\n" for path in written)
 
 

@@ -23,7 +23,12 @@ complex number, a nested tuple) or out of the conversion's range (nan or an
 infinite order, an int too large for a double) raises InvalidValue naming
 the field, never a bare TypeError or ValueError.  A number given as text is
 read by ``_number``, the rule for data files too, which refuses '1_0' and
-non-ASCII digits.
+non-ASCII digits; bytes-like text is read the same way.
+
+Names are matched by one key, ``fold_name``.  A parsed table folds its whole
+name column in one pass (``_fold_names``): the names, whitespace collapsed,
+are joined by newlines, case-folded and NFKD-decomposed once, and each
+distinct combining mark in them is deleted with one ``str.replace``.
 """
 
 from __future__ import annotations
@@ -108,6 +113,10 @@ def _number(text: str, comma: bool = False) -> float:
 
 
 def _real(value: object) -> float:
+    """``float(value)``, with text, as str or as bytes-like ASCII, read by
+    ``_number``."""
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        value = str(value, "ascii")  # a non-ASCII byte fails, as in float()
     return _number(value) if isinstance(value, str) else float(value)
 
 
@@ -121,28 +130,50 @@ def _strings(values: Iterable[object]) -> tuple[str, ...]:
 
 
 class _Unmarked(dict):
-    """``str.translate`` table that deletes combining marks.
+    """What a non-ASCII character of a folded key becomes: nothing for a
+    combining mark, the character itself otherwise.
 
-    Each code point is looked up with ``unicodedata.combining`` the first
+    Each character is looked up with ``unicodedata.combining`` the first
     time it is folded and remembered, so the table holds one entry per
-    distinct code point seen, up to ``_UNMARKED_SIZE`` of them.
+    distinct character seen, up to ``_UNMARKED_SIZE`` of them.
     """
 
-    def __missing__(self, point: int) -> str | None:
-        char = chr(point)
-        kept = None if unicodedata.combining(char) else char
+    def __missing__(self, char: str) -> str:
+        kept = "" if unicodedata.combining(char) else char
         if len(self) < _UNMARKED_SIZE:
-            self[point] = kept
+            self[char] = kept
         return kept
 
 
 _UNMARKED_SIZE = 4096
 # the dotless ı folds to i, as its title case I does
-_UNMARKED = _Unmarked({ord("ı"): "i"})
+_UNMARKED = _Unmarked({"ı": "i"})
+_ASCII = frozenset(map(chr, range(128)))
 
 # folded alternate spelling -> folded name: "Fuencollana" is an accepted
 # alternate spelling of the locality Fuenllana
 _ALIASES = {"fuencollana": "fuenllana"}
+
+
+def _folded(text: str) -> str:
+    """``text`` case-folded, NFKD-decomposed and stripped of combining marks.
+
+    Case folding, NFKD decomposition and the mark strip map each character
+    on its own; NFKD's reordering of marks stops at a starter such as
+    '\\n', and no character folds to a '\\n'.  So folding names joined by
+    '\\n' gives their folds joined by '\\n'.  The strip makes one
+    ``str.replace`` per distinct non-ASCII character that it changes, so its
+    Python-level cost is paid per distinct character, not per character or
+    per name.
+    """
+    if text.isascii():  # NFKD leaves ASCII as it is, and casefold is lower
+        return text.lower()
+    text = unicodedata.normalize("NFKD", text.casefold())
+    for char in set(text) - _ASCII:
+        kept = _UNMARKED[char]
+        if kept != char:
+            text = text.replace(char, kept)
+    return text
 
 
 def fold_name(name: str) -> str:
@@ -151,14 +182,19 @@ def fold_name(name: str) -> str:
     Trims, collapses internal whitespace runs, case-folds and strips
     diacritics, so that e.g. ' venta  de cardenas' matches 'Venta de
     Cárdenas'.  The dotless ı folds to i, and the alternate spelling
-    'Fuencollana' to 'fuenllana'.  No other code decides name equality.
+    'Fuencollana' to 'fuenllana'.  No other code decides name equality:
+    ``_fold_names`` folds a column of names by this same rule.
     """
-    collapsed = " ".join(_coerce(str.split, name, "a name must be a string"))
-    if collapsed.isascii():  # NFKD leaves ASCII as it is, and casefold is lower
-        key = collapsed.lower()
-    else:
-        key = unicodedata.normalize("NFKD", collapsed.casefold()).translate(_UNMARKED)
+    key = _folded(" ".join(_coerce(str.split, name, "a name must be a string")))
     return _ALIASES.get(key, key)
+
+
+def _fold_names(collapsed: Sequence[str]) -> list[str]:
+    """``fold_name`` of each of ``collapsed``, one or more names whose
+    whitespace is already collapsed, from one fold of the names joined by
+    '\\n'."""
+    keys = _folded("\n".join(collapsed)).split("\n")
+    return list(map(_ALIASES.get, keys, keys))
 
 
 class _Checked(tuple):
@@ -259,9 +295,6 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
             )
         return tuple(by_key[k] for k in keys)
 
-    def zeroed(self) -> "Profile":
-        return Profile(self.names, (0.0,) * len(self.values), self.unit)
-
 
 class MetricSpec(_Checked, namedtuple("MetricSpec", "order", defaults=(None,))):
     """Selects a member of the Lp family.
@@ -314,10 +347,6 @@ class MetricSpec(_Checked, namedtuple("MetricSpec", "order", defaults=(None,))):
             if order >= 1:
                 return cls.ln(order)
         raise InvalidValue(f"unknown metric {token!r}")
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.order is None
 
     @property
     def token(self) -> str:

@@ -19,7 +19,11 @@ decides which error is raised, with the same message, line and column as a
 row-by-row load.  Rows handed to the constructor as (name, values) pairs
 take the row walk directly.  A name's key, which every lookup matches, is
 ``core.fold_name`` of its spelling, folded once; ``_named`` decides only how
-the name is displayed.  A cell is a number only if it is ASCII without ``_``.
+the name is displayed.  A parsed table folds its name column in one pass
+(``core._fold_names``): the names, whitespace collapsed, are joined by
+newlines and folded as one text, then split again, and they are title-cased
+for display the same way.  A cell is a number only if it is ASCII without
+``_``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from functools import lru_cache
 from itertools import compress, repeat
 from typing import Iterable, Sequence
 
-from .core import Profile, Unit, _coerce, _floats, _number, _shown, fold_name
-from .errors import InvalidValue, LpmatchError, ParseError
+from .core import Profile, Unit, _coerce, _floats, _fold_names, _number, _shown, fold_name
+from .errors import InvalidValue, ParseError
 
 __all__ = [
     "REFERENCES",
@@ -101,14 +105,25 @@ def _pair(row) -> tuple:
     return name, values
 
 
-def _fast_fields(names: Sequence, columns: Sequence[tuple[float, ...]]) -> tuple | None:
-    """(candidates, index, columns) when every row is valid, else None."""
+def _fast_fields(names: Sequence[str], columns: Sequence[tuple[float, ...]]) -> tuple | None:
+    """(candidates, index, columns) when every row is valid, else None.
+
+    The whole name column is folded, and title-cased, in one pass each: the
+    names are joined by '\\n', which no name holds once its whitespace is
+    collapsed and which both passes leave a boundary between names.
+    """
     for column in columns:
         if not all(map(math.isfinite, column)) or min(column) <= 0.0:
             return None
-    candidates, keys = zip(*map(_named, names))
+    cleaned = list(map(" ".join, map(str.split, names)))
+    if not all(cleaned):
+        return None  # a blank name
+    keys = _fold_names(cleaned)
     index = dict(zip(keys, range(len(keys))))
-    return (candidates, index, tuple(columns)) if len(index) == len(keys) else None
+    if len(index) != len(keys):
+        return None
+    titled = "\n".join(cleaned).title().split("\n")
+    return tuple(map(_CANONICAL.get, keys, titled)), index, tuple(columns)
 
 
 def _walked_fields(rows: Iterable, width: int) -> tuple:
@@ -153,7 +168,7 @@ class DistanceTable:
         _columns: tuple | None = None,
     ):
         """``_columns``, used by ``parse_table`` in place of ``rows``, is the
-        raw candidate names and one float tuple per reference."""
+        raw candidate names, as strings, and one float tuple per reference."""
         if not isinstance(unit, Unit):
             raise InvalidValue(f"table unit must be a Unit, got {_shown(unit)}")
         references = _coerce(tuple, references, "table references must be an iterable of names")
@@ -166,10 +181,7 @@ class DistanceTable:
             rows = _coerce(iter, rows, "table rows must be an iterable of (name, values) pairs")
             fields = _walked_fields(rows, len(refs))
         else:
-            try:
-                fields = _fast_fields(*_columns)
-            except LpmatchError:
-                fields = None  # a name that the row walk below rejects
+            fields = _fast_fields(*_columns)
             if fields is None:  # the row walk raises the first row's error
                 fields = _walked_fields(zip(_columns[0], zip(*_columns[1])), len(refs))
         candidates, index, columns = fields
@@ -227,9 +239,6 @@ class DistanceTable:
             raise KeyError(candidate)
         i = self._index[key]
         return tuple(column[i] for column in self._columns)
-
-    def row(self, candidate: str) -> Profile:
-        return Profile(self._references, self.row_values(candidate), self._unit)
 
     def __len__(self) -> int:
         return len(self._candidates)

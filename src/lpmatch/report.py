@@ -1,40 +1,28 @@
-"""Document rendering: ranking tables, error comparisons and gap analyses.
+"""Document rendering: ranking tables, error listings and gap listings.
 
 Every document is a RenderedTable that can be emitted as markdown, as
 delimiter-separated text or as a stream of JSON records.  Numeric cells are
 formatted at two decimals with dot decimal separators, rounding ties away
-from zero; all underlying computation stays at full precision.
+from zero; all underlying computation stays at full precision.  The paper
+grid's documents are built from these in ``paper``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import chain
-from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Sequence
 
-from .analysis import (
-    Configuration,
-    GapReport,
-    GridSummary,
-    RankingEntry,
-    SolutionProfile,
-    SweepResult,
-    relative_error_percent,
-    run_builtin_grid,
-    summarize_conclusions,
-    top_k,
-)
-from .core import DEFAULT_RATES, ConversionRates, MetricSpec, Profile, Unit, _Checked
-from .dataset import DistanceTable, builtin_table
+from .analysis import GapReport, RankingEntry, SolutionProfile, relative_error_percent, top_k
+from .core import MetricSpec, Profile, _Checked, _coerce, _real, _shown
+from .dataset import DistanceTable
 from .errors import InvalidValue
 
 __all__ = [
     "FORMATS",
     "TARGET_LABEL",
-    "ExternalResultRow",
-    "EXTERNAL_ERROR_ROWS",
     "RenderedTable",
     "format_2dp",
     "ranking_title",
@@ -42,11 +30,6 @@ __all__ = [
     "build_ranking_table",
     "build_error_listing",
     "build_gap_listing",
-    "build_error_table",
-    "build_gap_table",
-    "build_summary_table",
-    "build_document_set",
-    "write_document_set",
 ]
 
 FORMATS = ("md", "csv", "jsonl")
@@ -63,45 +46,14 @@ _CENT = Decimal("0.01")
 
 
 def format_2dp(x: float) -> str:
-    """Two-decimal display form, ties rounded away from zero."""
-    return str(Decimal(repr(float(x))).quantize(_CENT, context=_CONTEXT))
+    """Two-decimal display form, ties rounded away from zero.
 
-
-class ExternalResultRow(NamedTuple):
-    """A comparison row carried verbatim from earlier published analyses.
-
-    These values are compiled-in constants and are never recomputed.
+    Raises InvalidValue unless ``x`` is a finite real number (or its text).
     """
-
-    source: str
-    entries: tuple[tuple[str, float], ...]  # (locality, relative error %)
-    gap: float | None = None
-    mean: float | None = None
-
-
-EXTERNAL_ERROR_ROWS = (
-    ExternalResultRow(
-        "[7]",
-        (("Alcubillas", 8.30), ("Villanueva Inf.", 10.38)),
-        gap=2.08,
-    ),
-    ExternalResultRow(
-        "[3] con L_inf",
-        (("Fuenllana", 12.00), ("Villanueva Inf.", 12.19), ("Carrizosa", 15.12)),
-        gap=0.19,
-    ),
-    ExternalResultRow(
-        "[3] con L_1",
-        (("Carrizosa", 6.86), ("Fuenllana", 9.24), ("Villanueva Inf.", 9.27)),
-        gap=2.37,
-        mean=1.10,
-    ),
-    ExternalResultRow(
-        "[3] con L_2",
-        (("Carrizosa", 9.15), ("Villanueva Inf.", 9.90), ("Fuenllana", 9.98)),
-        gap=0.75,
-    ),
-)
+    value = _coerce(_real, x, "a value to format must be a real number")
+    if not math.isfinite(value):
+        raise InvalidValue(f"a value to format must be finite, got {_shown(x)}")
+    return str(Decimal(repr(value)).quantize(_CENT, context=_CONTEXT))
 
 
 class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows fmt",
@@ -112,10 +64,15 @@ class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows fmt
 
     def __post_init__(self) -> None:
         if self.fmt not in FORMATS:
-            raise InvalidValue(f"unknown format {self.fmt!r}")
+            raise InvalidValue(f"unknown format {_shown(self.fmt)}")
+        if not isinstance(self.title, str):
+            raise InvalidValue(f"a document title must be a string, got {_shown(self.title)}")
         for row in self.rows:
             if len(row) != len(self.header):
                 raise InvalidValue("every row must match the header arity")
+        for cell in chain(self.header, *self.rows):
+            if not isinstance(cell, str):
+                raise InvalidValue(f"a document cell must be a string, got {_shown(cell)}")
 
     def text(self) -> str:
         if self.fmt == "md":
@@ -244,162 +201,3 @@ def build_gap_listing(gaps: GapReport, fmt: str = "md", *, title: str) -> Render
     ]
     rows.append(("mean", "", "", "", "", format_2dp(gaps.mean_gap)))
     return RenderedTable(title, header, tuple(rows), fmt)
-
-
-def build_error_table(
-    results: Mapping[Configuration, SweepResult],
-    fmt: str = "md",
-) -> RenderedTable:
-    """Three closest candidates with relative errors, one row per configuration.
-
-    External rows (earlier published analyses) are listed first, verbatim.
-    """
-    header = ("configuration",
-              "locality 1", "error 1 (%)",
-              "locality 2", "error 2 (%)",
-              "locality 3", "error 3 (%)")
-    rows: list[tuple[str, ...]] = []
-    for ext in EXTERNAL_ERROR_ROWS:
-        cells: list[str] = [ext.source]
-        for name, pct in ext.entries:
-            cells.extend((name, format_2dp(pct)))
-        while len(cells) < len(header):
-            cells.append("")
-        rows.append(tuple(cells))
-    for config, result in results.items():
-        cells = [config.label]
-        for entry, error in zip(result.ranking[:3], result.errors[:3]):
-            cells.extend((entry.candidate, format_2dp(error)))
-        while len(cells) < len(header):
-            cells.append("")
-        rows.append(tuple(cells))
-    return RenderedTable(
-        "Relative error (%) of the three closest candidates per configuration",
-        header,
-        tuple(rows),
-        fmt,
-    )
-
-
-def build_gap_table(
-    results: Mapping[Configuration, SweepResult],
-    fmt: str = "md",
-) -> RenderedTable:
-    """Second-minus-first relative-error gap rows with per-family means."""
-    header = ("configuration", "second minus first (%)", "family mean (%)")
-    rows: list[tuple[str, ...]] = []
-    for ext in EXTERNAL_ERROR_ROWS:
-        if ext.gap is None:
-            continue
-        rows.append((
-            ext.source,
-            format_2dp(ext.gap),
-            format_2dp(ext.mean) if ext.mean is not None else "",
-        ))
-    seen: set[tuple[str, str, int]] = set()
-    for config, result in results.items():
-        family = config.key[:3]
-        if family in seen:
-            continue
-        seen.add(family)
-        for record in result.gaps.records:
-            rows.append((
-                f"{config.family_label} {record.metric.label}",
-                format_2dp(record.gap),
-                format_2dp(result.gaps.mean_gap),
-            ))
-    return RenderedTable(
-        "Gap between the second and the first candidate per configuration",
-        header,
-        tuple(rows),
-        fmt,
-    )
-
-
-def build_summary_table(summary: GridSummary, fmt: str = "md") -> RenderedTable:
-    """Headline facts of a grid sweep as fact/value rows."""
-    rows: list[tuple[str, str]] = []
-    for config, name in summary.top_candidates:
-        rows.append((f"top candidate: {config.label}", name))
-    for family in summary.families:
-        rows.append((f"mean gap: {family.label}", format_2dp(family.mean_gap)))
-        rows.append((f"mean top-1 relative error: {family.label}",
-                     format_2dp(family.mean_top_error)))
-    rows.append(("family with the smallest relative errors",
-                 summary.lowest_error_family.label))
-    rows.append(("family with the largest mean gap",
-                 summary.highest_mean_gap_family.label))
-    rows.append(("family with the smallest mean gap",
-                 summary.lowest_mean_gap_family.label))
-    rows.append(("km and hours runs agree on every top-5 name set",
-                 "yes" if summary.unit_pairs_agree else "no"))
-    for solution, nrefs, metric in summary.disagreeing_pairs:
-        rows.append(("top-5 name sets differ between units",
-                     f"{solution} {nrefs}-ref {metric}"))
-    return RenderedTable("Analysis summary", ("fact", "value"), tuple(rows), fmt)
-
-
-# Document numbers of the ranking tables, one triple (L_inf, L_1, L_2) per
-# family in grid order; numbers 1 and 5 hold the km and hours datasets.
-_FAMILY_DOC_NUMBERS = (
-    (2, 3, 4), (6, 7, 8), (9, 10, 11), (12, 13, 14),
-    (15, 16, 17), (18, 19, 20), (21, 22, 23), (24, 25, 26),
-)
-
-
-def build_document_set(
-    results: Mapping[Configuration, SweepResult], fmt: str = "md"
-) -> dict[str, RenderedTable]:
-    """The result documents of the full built-in grid, keyed by file stem.
-
-    In table order: the 24 ranking documents at their conventional numbers
-    (table_02..table_26, skipping the dataset number 5), the error
-    comparison (table_27), the gap analysis (table_28) and the summary.
-    Raises InvalidValue unless ``results`` holds all 24 configurations.
-    """
-    if len(results) != 24:
-        raise InvalidValue(
-            "document numbering expects the full builtin grid of 24 configurations, "
-            f"got {len(results)}"
-        )
-    documents = {
-        f"table_{number:02d}": build_ranking_table(
-            result.table, result.target, result.ranking, config.metric, k=5, fmt=fmt,
-            title=ranking_title(config.metric, config.solution, result.table),
-        )
-        for number, (config, result) in zip(chain.from_iterable(_FAMILY_DOC_NUMBERS),
-                                            results.items())
-    }
-    documents["table_27"] = build_error_table(results, fmt)
-    documents["table_28"] = build_gap_table(results, fmt)
-    documents["summary"] = build_summary_table(summarize_conclusions(results), fmt)
-    return documents
-
-
-def write_document_set(
-    outdir: str | Path,
-    fmt: str = "md",
-    rates: ConversionRates = DEFAULT_RATES,
-) -> list[Path]:
-    """Write the complete built-in analysis to ``outdir``; byte-stable.
-
-    Emits the two dataset documents (table_01, table_05) and the result
-    documents of ``build_document_set``.  Returns the written paths in name
-    order.
-    """
-    documents = build_document_set(run_builtin_grid(rates), fmt)
-    documents["table_01"] = build_dataset_table(
-        builtin_table(Unit.KILOMETERS), "Candidate distances in kilometers", fmt
-    )
-    documents["table_05"] = build_dataset_table(
-        builtin_table(Unit.HOURS), "Candidate distances in hours", fmt
-    )
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for stem in sorted(documents):
-        path = outdir / f"{stem}.{fmt}"
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(documents[stem].text())
-        written.append(path)
-    return written

@@ -18,10 +18,9 @@ from lpmatch.analysis import (
     CLASSIC_SOLUTION,
     REFINED_SOLUTION,
     rank_candidates,
-    run_builtin_grid,
-    summarize_conclusions,
     target_profile,
 )
+from lpmatch.paper import run_builtin_grid, summarize_conclusions
 from lpmatch.core import MetricSpec, Profile, Unit, convert, metric_distance
 from lpmatch.dataset import DistanceTable
 from lpmatch.report import format_2dp

@@ -10,26 +10,29 @@ from lpmatch.analysis import (
     BUILTIN_SOLUTIONS,
     CLASSIC_SOLUTION,
     REFINED_SOLUTION,
-    Configuration,
-    FamilyStats,
     GapRecord,
     GapReport,
-    GridSummary,
     RankingEntry,
     SolutionProfile,
-    SweepResult,
     gap_report,
     rank_candidates,
     relative_error_percent,
-    run_builtin_grid,
-    summarize_conclusions,
-    sweep,
     target_profile,
     top_k,
 )
 from lpmatch.core import ConversionRates, MetricSpec, Profile, Unit
 from lpmatch.dataset import REFERENCES, DistanceTable, builtin_table, subset_references
-from lpmatch.report import ExternalResultRow, RenderedTable
+from lpmatch.paper import (
+    Configuration,
+    ExternalResultRow,
+    FamilyStats,
+    GridSummary,
+    SweepResult,
+    run_builtin_grid,
+    summarize_conclusions,
+    sweep,
+)
+from lpmatch.report import RenderedTable
 from lpmatch.errors import InvalidValue
 
 L1 = MetricSpec.ln(1)
@@ -41,6 +44,11 @@ HOURS = builtin_table("hours")
 CLASSIC_KM = target_profile(CLASSIC_SOLUTION, Unit.KILOMETERS)
 CLASSIC_HOURS = target_profile(CLASSIC_SOLUTION, Unit.HOURS)
 REFINED_HOURS_3 = target_profile(REFINED_SOLUTION, Unit.HOURS, REFERENCES[:3])
+
+
+def row_profile(table, name):
+    """The profile of one candidate's row of ``table``."""
+    return Profile(table.references, table.row_values(name), table.unit)
 
 
 class TestSolutions:
@@ -93,7 +101,7 @@ class TestRankCandidates:
         assert ranking[0].distance == pytest.approx(4.24, abs=0.005)
 
     def test_self_match_ranks_first_at_zero(self):
-        target = KM.row("Carrizosa")
+        target = row_profile(KM, "Carrizosa")
         ranking = rank_candidates(KM, target, L2)
         assert ranking[0].candidate == "Carrizosa"
         assert ranking[0].distance == 0.0
@@ -236,7 +244,7 @@ class TestTieBreakOverflow:
 
 class TestRankingEntry:
     def test_fields_equality_and_repr(self):
-        entry = rank_candidates(KM, KM.row("Carrizosa"), L2)[0]
+        entry = rank_candidates(KM, row_profile(KM, "Carrizosa"), L2)[0]
         assert entry == RankingEntry("Carrizosa", 0.0, 1)
         assert entry == ("Carrizosa", 0.0, 1)  # also a plain tuple
         assert (entry.candidate, entry.distance, entry.rank) == ("Carrizosa", 0.0, 1)

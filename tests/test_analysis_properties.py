@@ -28,9 +28,14 @@ from lpmatch.dataset import DistanceTable
 METRICS = (MetricSpec.infinity(), MetricSpec.ln(1), MetricSpec.ln(2), MetricSpec.ln(3))
 
 
+def row_profile(table, name):
+    """The profile of one candidate's row of ``table``."""
+    return Profile(table.references, table.row_values(name), table.unit)
+
+
 def oracle_distance(metric, row_values, target_values):
     diffs = sorted((abs(a - b) for a, b in zip(row_values, target_values)), reverse=True)
-    if metric.is_infinity:
+    if metric.order is None:
         return diffs[0]
     n = metric.order
     if n == 1:
@@ -190,8 +195,8 @@ def test_matches_per_pair_metric_distance_under_permutation_and_respelling(metri
     metric_distance calls, which align every row by name."""
     table, target = data
     scored = sorted(
-        (metric_distance(metric, table.row(name), target),
-         metric_distance(MetricSpec.ln(2), table.row(name), target), name)
+        (metric_distance(metric, row_profile(table, name), target),
+         metric_distance(MetricSpec.ln(2), row_profile(table, name), target), name)
         for name in table.candidates
     )
     expected = [RankingEntry(name, dist, pos + 1) for pos, (dist, _, name) in enumerate(scored)]
@@ -228,8 +233,8 @@ def test_tie_heavy_rankings_match_the_sorted_triple_oracle(metric, data):
     table, target = data
     l2 = MetricSpec.ln(2)
     scored = sorted(
-        (metric_distance(metric, table.row(name), target),
-         metric_distance(l2, table.row(name), target), name)
+        (metric_distance(metric, row_profile(table, name), target),
+         metric_distance(l2, row_profile(table, name), target), name)
         for name in table.candidates
     )
     expected = [RankingEntry(name, dist, pos + 1) for pos, (dist, _, name) in enumerate(scored)]

@@ -133,7 +133,7 @@ def test_convert_is_entrywise_linear(values):
     hours = convert(p, Unit.HOURS)
     assert km.values == tuple(v * 31.0 for v in p.values)
     assert hours.values == tuple(v * 10.0 for v in p.values)
-    zero = p.zeroed()
+    zero = Profile(p.names, (0.0,) * len(p.values), p.unit)
     assert convert(zero, Unit.KILOMETERS).values == (0.0,) * 4
 
 

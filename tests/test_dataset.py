@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpmatch import dataset
-from lpmatch.core import Unit, fold_name
+from lpmatch.core import Profile, Unit, fold_name
 from lpmatch.dataset import (
     REFERENCES,
     DistanceTable,
@@ -19,6 +19,11 @@ from lpmatch.dataset import (
     subset_references,
 )
 from lpmatch.errors import InvalidValue, LpmatchError, ParseError
+
+
+def row_profile(table, name):
+    """The profile of one candidate's row of ``table``."""
+    return Profile(table.references, table.row_values(name), table.unit)
 
 
 class TestBuiltinTables:
@@ -53,14 +58,14 @@ class TestBuiltinTables:
             builtin_table("jornadas")
 
     def test_row_returns_profile(self):
-        row = builtin_table("km").row("Carrizosa")
+        row = row_profile(builtin_table("km"), "Carrizosa")
         assert row.unit is Unit.KILOMETERS
         assert row.names == REFERENCES
         assert row.values == (70.44, 72.28, 77.20, 52.52)
 
     def test_unknown_candidate(self):
         with pytest.raises(KeyError):
-            builtin_table("km").row("El Dorado")
+            row_profile(builtin_table("km"), "El Dorado")
 
 
 class TestNormalizeName:
@@ -212,13 +217,13 @@ class TestSubsetReferences:
         km = builtin_table("km")
         sub = subset_references(km, ("Puerto Lápice", "Munera"))
         for name in km.candidates:
-            full = dict(km.row(name).items())
+            full = dict(row_profile(km, name).items())
             assert sub.row_values(name) == (full["Puerto Lápice"], full["Munera"])
 
     def test_alias_lookups_still_work(self):
         sub = subset_references(builtin_table("km"), ("el toboso", "VENTA DE CARDENAS"))
         assert sub.row_values("Fuencollana") == sub.row_values("fuenllana") == (71.56, 87.00)
-        assert sub.row(" FUENCOLLANA ").names == ("Venta de Cárdenas", "El Toboso")
+        assert row_profile(sub, " FUENCOLLANA ").names == ("Venta de Cárdenas", "El Toboso")
         with pytest.raises(KeyError):
             sub.row_values("El Dorado")
 
@@ -305,7 +310,7 @@ def test_subset_equals_a_table_built_afresh(table, data):
     assert sub.value_columns == fresh.value_columns
     for name in table.candidates:
         assert sub.row_values(f" {name.upper()} ") == fresh.row_values(name)
-        assert sub.row(name) == fresh.row(name)
+        assert row_profile(sub, name) == row_profile(fresh, name)
 
 
 # Ingestion parity.  The loader validates whole columns and re-walks the
@@ -590,6 +595,27 @@ def test_fold_name_matches_the_generator_oracle_on_every_bmp_code_point():
         char = chr(point)
         for text in (char, "a" + char):
             assert fold_name(text) == oracle_fold(text), hex(point)
+
+
+def test_the_column_fold_matches_the_oracle_on_every_bmp_code_point(monkeypatch):
+    def walk(*args):
+        raise AssertionError("row walk taken")
+
+    # parse_table's column path only: the row walks, which fold one name at
+    # a time, would hide an error of the column fold
+    monkeypatch.setattr(dataset, "_walked_rows", walk)
+    monkeypatch.setattr(dataset, "_walked_fields", walk)
+    # '<n>-' keeps each key unique and each name non-blank; NUL cannot pass
+    # through the csv reader of every supported Python
+    names = [f"{point}-{chr(point)}" for point in range(1, 0x10000)]
+    for start in range(0, len(names), 4096):
+        chunk = names[start:start + 4096]
+        out = io.StringIO()
+        rows = [("name", "a")] + [(name, "1") for name in chunk]
+        csv.writer(out, quoting=csv.QUOTE_ALL).writerows(rows)
+        table = parse_table(out.getvalue(), unit=Unit.HOURS)
+        assert list(table._index) == [oracle_fold(n) for n in chunk]
+        assert table.candidates == tuple(oracle_normalize(n) for n in chunk)
 
 
 @pytest.mark.parametrize("raw", ["ıbiza x", "IBIZA X", "Fuencollana", " fuenllana ", "cozar",

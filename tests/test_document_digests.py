@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from lpmatch.cli import run
-from lpmatch.report import write_document_set
+from lpmatch import write_document_set
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text(encoding="utf-8")

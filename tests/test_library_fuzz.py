@@ -1,13 +1,14 @@
 """Seeded fuzzing of the library's parameters: a result or a data error.
 
-Every public constructor and function of ``core``, ``dataset`` and
-``analysis`` that takes numbers, names, tokens or units gets mixed values in
-those places: strings, None, bools, complex numbers, nan, +-inf, huge ints
-and nested tuples, beside ordinary values.  Parameters that take one of the
-package's own objects (a table, a target profile, a metric, a ranking) get a
-valid one, except in the structural cases, which pass mixed values, lists
-and rows of the wrong shape where a table, its rows, a target or a metric
-belongs.  A call must return or raise exactly ``InvalidValue`` or
+Every public constructor and function of ``core``, ``dataset``,
+``analysis``, ``report`` and ``paper`` that takes numbers, names, tokens,
+titles, cells or units gets mixed values in those places: strings, None,
+bools, complex numbers, nan, +-inf, huge ints and nested tuples, beside
+ordinary values; a document that ``report`` returns is also rendered.
+Parameters that take one of the package's own objects (a table, a target
+profile, a metric, a ranking) get a valid one, except in the structural
+cases, which pass mixed values, lists and rows of the wrong shape where a
+table, its rows, a target or a metric belongs.  A call must return or raise exactly ``InvalidValue`` or
 ``ParseError``, the package's two data errors; any other exception is a
 traceback that a library caller would see.  Seeded (``derandomize``) and
 bounded, so every run checks the same cases.
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 from lpmatch.analysis import (
     CLASSIC_SOLUTION,
-    Configuration,
     SolutionProfile,
     gap_report,
     rank_candidates,
@@ -47,6 +47,15 @@ from lpmatch.dataset import (
     subset_references,
 )
 from lpmatch.errors import InvalidValue, LpmatchError, ParseError
+from lpmatch.paper import Configuration
+from lpmatch.report import (
+    RenderedTable,
+    build_dataset_table,
+    build_error_listing,
+    build_gap_listing,
+    build_ranking_table,
+    format_2dp,
+)
 
 ODD = st.one_of(
     st.sampled_from([None, True, False, 1j, complex(2, 0), math.nan, math.inf, -math.inf,
@@ -58,10 +67,12 @@ ODD = st.one_of(
 )
 USUAL = st.one_of(st.integers(1, 50), st.floats(0.01, 100.0), st.sampled_from(["a", "b", "c"]))
 MIXED = st.one_of(ODD, USUAL)
+FORMATS = st.sampled_from(["md", "csv", "jsonl"])
 
 TABLE = DistanceTable(Unit.KILOMETERS, ("a", "b"), [("X", (1.0, 2.0)), ("Y", (3.0, 1.5))])
 TARGET = Profile(("a", "b"), (2.0, 2.0), Unit.KILOMETERS)
 RANKING = rank_candidates(TABLE, TARGET, MetricSpec(1))
+GAPS = gap_report(TABLE, TARGET)
 
 
 def returns_or_raises_a_data_error(call, draw):
@@ -111,6 +122,19 @@ CALLS = {
         TABLE, Profile(*names_and_values(d, 2), Unit.KILOMETERS), MetricSpec(d(MIXED))),
     "top_k": lambda d: top_k(RANKING, d(MIXED)),
     "relative_error_percent": lambda d: relative_error_percent(d(MIXED), TARGET, MetricSpec(2)),
+    "format_2dp": lambda d: format_2dp(d(MIXED)),
+    "RenderedTable": lambda d: RenderedTable(
+        d(MIXED), ("a", d(MIXED)), (("x", d(MIXED)),), d(st.one_of(FORMATS, MIXED))).text(),
+    "build_dataset_table": lambda d: build_dataset_table(
+        TABLE, d(MIXED), d(st.one_of(FORMATS, MIXED))).text(),
+    "build_ranking_table": lambda d: build_ranking_table(
+        TABLE, TARGET, RANKING, MetricSpec(1), d(MIXED), d(st.one_of(FORMATS, MIXED)),
+        title=d(MIXED)).text(),
+    "build_error_listing": lambda d: build_error_listing(
+        TARGET, RANKING, MetricSpec(1), d(MIXED), d(st.one_of(FORMATS, MIXED)),
+        title=d(MIXED)).text(),
+    "build_gap_listing": lambda d: build_gap_listing(
+        GAPS, d(st.one_of(FORMATS, MIXED)), title=d(MIXED)).text(),
 }
 
 

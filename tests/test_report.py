@@ -3,33 +3,26 @@ import decimal
 import hashlib
 import io
 import json
+import math
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from lpmatch import report
-from lpmatch.analysis import (
-    CLASSIC_SOLUTION,
-    REFINED_SOLUTION,
-    rank_candidates,
-    run_builtin_grid,
-    summarize_conclusions,
-    target_profile,
-)
+from lpmatch import paper
+from lpmatch.analysis import CLASSIC_SOLUTION, REFINED_SOLUTION, rank_candidates, target_profile
 from lpmatch.core import MetricSpec, Unit
 from lpmatch.dataset import REFERENCES, builtin_table, subset_references
 from lpmatch.errors import InvalidValue
-from lpmatch.report import (
-    TARGET_LABEL,
-    RenderedTable,
+from lpmatch.paper import (
     build_error_table,
     build_gap_table,
-    build_ranking_table,
     build_summary_table,
-    format_2dp,
+    run_builtin_grid,
+    summarize_conclusions,
     write_document_set,
 )
+from lpmatch.report import TARGET_LABEL, RenderedTable, build_ranking_table, format_2dp
 
 
 class TestFormat2dp:
@@ -48,6 +41,18 @@ class TestFormat2dp:
     )
     def test_rounding(self, value, expected):
         assert format_2dp(value) == expected
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "inf", "nan", None, "x",
+                                       "1_0", 1j, (1.0,), b"inf", 10**400])
+    def test_a_non_finite_or_non_real_value_is_invalid(self, value):
+        with pytest.raises(InvalidValue, match="^a value to format must be") as caught:
+            format_2dp(value)
+        assert str(caught.value).endswith(f", got {value!r}")
+
+    @pytest.mark.parametrize("value, text", [("2.675", "2.68"), (b" 1.005 ", "1.01"),
+                                             (True, "1.00"), (-0.0, "-0.00"), (7, "7.00")])
+    def test_real_values_and_their_text_are_formatted(self, value, text):
+        assert format_2dp(value) == text
 
     @pytest.mark.parametrize("value", [1e26, -3.5e30, 1.7e308, -1.7976931348623157e308])
     def test_large_finite_values_print_every_integer_digit(self, value):
@@ -277,6 +282,6 @@ class TestWriteDocumentSet:
     def test_partial_grid_is_refused_without_asserts(self, tmp_path, monkeypatch):
         # a real check, which python -O keeps
         partial = dict(list(run_builtin_grid().items())[:21])
-        monkeypatch.setattr(report, "run_builtin_grid", lambda rates: partial)
+        monkeypatch.setattr(paper, "run_builtin_grid", lambda rates: partial)
         with pytest.raises(InvalidValue, match="24 configurations"):
             write_document_set(tmp_path)
