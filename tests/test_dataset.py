@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import re
 import unicodedata
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,44 @@ class TestParseTable:
         with pytest.raises(ParseError) as info:
             parse_table("name,a\nX,1\rY,2\n", unit=Unit.KILOMETERS)
         assert info.value.line == 2
+
+    @pytest.mark.parametrize("text", ['name;a\nX;"1\n2"\nY;3\n', 'name;a\nX;"2\n"\nY;3\n',
+                                      'name;a;b\nX;"1\n2";3\nY;4;5\n'])
+    def test_a_quoted_value_cell_with_a_newline_is_read_by_the_row_rule(self, text):
+        expected = outcome(lambda: oracle_parse(text, Unit.HOURS, "auto"))
+        assert outcome(lambda: parse_table(text, unit=Unit.HOURS)) == expected
+
+    def test_a_line_break_that_csv_does_not_break_at_keeps_the_delimiter(self):
+        table = parse_table("n\x85ame;a\nX;1,5\n", unit=Unit.HOURS)
+        assert table.references == ("A",)
+        assert table.value_columns == ((1.5,),)
+
+    @pytest.mark.parametrize("char", ["\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\u2028", "\u2029"])
+    @pytest.mark.parametrize("cell", [0, 1])
+    def test_splitlines_breaks_in_a_header_cell_are_text(self, char, cell):
+        header = ["name", "ref"]
+        header[cell] = header[cell][:2] + char + header[cell][2:]
+        text = ";".join(header) + "\nX;1,5\nY;2,25\n"
+        table = parse_table(text, unit=Unit.HOURS)
+        assert table.references == (normalize_name(header[1]),)
+        assert table.candidates == ("X", "Y")
+        assert table.value_columns == ((1.5, 2.25),)
+
+    @pytest.mark.parametrize("text, delimiter", [("\t\rname,a\n", ","), ("\t\r\nname,a", ","),
+                                                 (" \n\tname\n", "\t"), ("a\u2028;b", ";"),
+                                                 ("a,b\rc;d", ","), ("\n\n", ",")])
+    def test_the_delimiter_is_read_from_the_first_non_blank_csv_line(self, text, delimiter):
+        assert dataset._sniff_delimiter(text) == delimiter
+
+    def test_a_carriage_return_only_file_keeps_its_error(self):
+        text = "name;a\rX;1,5\rY;2,5\r"
+        with pytest.raises(ParseError, match="^line 1: new-line character seen in unquoted "
+                                             "field") as info:
+            parse_table(text, unit=Unit.HOURS)
+        assert info.value.line == 1
+        assert outcome(lambda: oracle_parse(text, Unit.HOURS, "auto"))[:2] == (
+            ParseError, str(info.value))
 
 
 class TestSerializeRoundTrip:
@@ -383,7 +423,8 @@ def oracle_table(unit, references, rows):
 
 
 def oracle_parse(text, unit, decimal):
-    first = next((line for line in text.splitlines() if line.strip()), "")
+    # the first non-blank line, ended where csv ends a record
+    first = next((line for line in re.split("[\r\n]", text) if line.strip()), "")
     delimiter = ";" if ";" in first else "\t" if "\t" in first else ","
     if decimal == "auto":
         decimal = "comma" if delimiter in (";", "\t") else "dot"
@@ -493,6 +534,111 @@ def test_parse_table_matches_the_row_by_row_oracle(text_and_decimal, unit):
     text, decimal = text_and_decimal
     expected = outcome(lambda: oracle_parse(text, unit, decimal))
     assert outcome(lambda: parse_table(text, unit=unit, decimal=decimal)) == expected
+
+
+def no_split(text, delimiter):
+    return None
+
+
+SPLIT_NAMES = ["a", "b c", " x ", "cózar", "ıbiza x", "n\x85o", "p\u2028q", "١٢", "r_s", "7"]
+SPLIT_BAD_NAMES = ["Fuencollana", "Fuenllana", "A", "", "  ", "1,5", "s\tt", "u;v"]
+SPLIT_CELLS = ["1", "2.5", " 12 ", "1e-320", "1e308"]
+SPLIT_BAD_CELLS = ["0", "-1", "nan", "inf", "1e309", "1_0", "١٢", "x", "", " ", "5\x00",
+                   "1,5", "2.5,0", "9" * 30, '"1\n2"', '"2\n"', '"3"']
+
+
+@st.composite
+def split_texts(draw):
+    """(text, decimal, field size limit): a table text with faults that csv
+    and the split path read alike or refuse alike, or that the split path
+    must leave to csv."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    decimal = draw(st.sampled_from(["auto", "dot", "comma"]))
+    cells = SPLIT_CELLS + (["3,25", " 4,75 "] if delimiter != "," else [])
+    width = draw(st.integers(min_value=1, max_value=4))
+    names = draw(st.lists(st.sampled_from(SPLIT_NAMES), min_size=1, max_size=6, unique=True))
+    lines = [["name"] + [f"r{i}" for i in range(width)]]
+    lines += [[name] + [draw(st.sampled_from(cells)) for _ in range(width)] for name in names]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        row = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        fault = draw(st.sampled_from(["cell", "name", "quoted", "ragged", "blank", "nul",
+                                      "header"]))
+        if fault == "cell" and len(lines[row]) > 1:
+            lines[row][draw(st.integers(1, len(lines[row]) - 1))] = draw(
+                st.sampled_from(SPLIT_BAD_CELLS))
+        elif fault == "name":
+            lines[row][0] = draw(st.sampled_from(SPLIT_BAD_NAMES))
+        elif fault == "quoted":
+            held = draw(st.sampled_from([delimiter, "\n", "\r\n", '""', "x"]))
+            lines[row][0] = f'"{lines[row][0]}{held}y"'
+        elif fault == "ragged":
+            lines[row] = lines[row][:-1] if draw(st.booleans()) else lines[row] + ["1"]
+        elif fault == "blank":
+            lines.insert(row, draw(st.sampled_from(
+                [[""], ["  \t "], [""] * (width + 1), [" "] * (width + 1), [""] * width])))
+        elif fault == "nul":
+            lines[row][0] += "\x00"
+        else:
+            lines[0][draw(st.integers(0, len(lines[0]) - 1))] = draw(
+                st.sampled_from(["R0", " ", "", "ñ"]))
+    ending = draw(st.sampled_from(["\n", "\n", "\n", "\n", "\r\n", "\r"]))
+    text = ending.join(delimiter.join(line) for line in lines)
+    text += draw(st.sampled_from(["", "\n", "", "\n", "\n\n", "\r\n", " \n"]))
+    return text, decimal, draw(st.sampled_from([None, None, 8, 20]))
+
+
+@given(split_texts(), st.sampled_from([Unit.KILOMETERS, "km"]))
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+def test_the_split_path_reads_as_csv_does(case, unit):
+    text, decimal, limit = case
+    default_limit = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        read = outcome(lambda: parse_table(text, unit=unit, decimal=decimal))
+        with mock.patch.object(dataset, "_split_cells", no_split):
+            by_csv = outcome(lambda: parse_table(text, unit=unit, decimal=decimal))
+    finally:
+        csv.field_size_limit(default_limit)
+    assert read == by_csv
+
+
+def test_a_quote_free_table_takes_the_split_path(monkeypatch):
+    def csv_read(*args):
+        raise AssertionError("csv records read")
+
+    monkeypatch.setattr(dataset, "_record_cells", csv_read)
+    text = "nombre;a;b\n x  y ;1,5; 2,25 \ncózar;3;4,5"
+    table = parse_table(text, unit=Unit.HOURS)
+    assert table.candidates == ("X Y", "Cózar")
+    assert table.value_columns == ((1.5, 3.0), (2.25, 4.5))
+    assert parse_table(text + "\n", unit=Unit.HOURS) == table
+    km = builtin_table("km")
+    assert parse_table(serialize_table(km, delimiter="\t"), unit=Unit.KILOMETERS,
+                       decimal="dot") == km
+
+
+@pytest.mark.parametrize("text", ['name;a\n"X";1\n', "name;a\r\nX;1\r\n", "name;a\nX\x00;1\n",
+                                  "\nname;a\nX;1\n", "name;a\nX;1\n\n", "name;a\n\nX;1\n",
+                                  "name;a\nX;1;2\n", ";\nX;1\n", "name;a\nX;1;2\n3\n",
+                                  "name;a;b\n7\nX;1;2;3\n", "name\nX;1\n"])
+def test_other_shapes_leave_the_split_path(text):
+    assert dataset._split_cells(text, ";") is None
+    read = outcome(lambda: parse_table(text, unit=Unit.HOURS))
+    with mock.patch.object(dataset, "_split_cells", no_split):
+        assert read == outcome(lambda: parse_table(text, unit=Unit.HOURS))
+
+
+def test_a_line_longer_than_the_field_limit_leaves_the_split_path():
+    default_limit = csv.field_size_limit()
+    text = "name;a\nX;12345\n"
+    try:
+        csv.field_size_limit(7)
+        assert dataset._split_cells(text, ";") is not None
+        csv.field_size_limit(6)
+        assert dataset._split_cells(text, ";") is None
+    finally:
+        csv.field_size_limit(default_limit)
 
 
 class OneShot(list):
