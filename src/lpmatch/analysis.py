@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 from itertools import compress, count, islice, repeat
 from operator import eq, index, itemgetter
-from typing import NamedTuple, Sequence
 
 from .core import (
     DEFAULT_RATES,
@@ -94,28 +94,14 @@ REFINED_SOLUTION = SolutionProfile(
 BUILTIN_SOLUTIONS = {s.label: s for s in (CLASSIC_SOLUTION, REFINED_SOLUTION)}
 
 
-class RankingEntry(NamedTuple):
-    """One candidate's place in a ranking; immutable, and also a plain tuple."""
+RankingEntry = namedtuple("RankingEntry", "candidate distance rank")
+RankingEntry.__doc__ = "One candidate's place in a ranking; immutable, and also a plain tuple."
 
-    candidate: str
-    distance: float
-    rank: int
+# the two closest candidates under one metric, their relative errors and gap
+GapRecord = namedtuple("GapRecord", "metric first first_error second second_error gap")
 
-
-class GapRecord(NamedTuple):
-    metric: MetricSpec
-    first: str
-    first_error: float
-    second: str
-    second_error: float
-    gap: float
-
-
-class GapReport(NamedTuple):
-    """Top-two relative-error gaps per metric, with their arithmetic mean."""
-
-    records: tuple[GapRecord, ...]
-    mean_gap: float
+GapReport = namedtuple("GapReport", "records mean_gap")
+GapReport.__doc__ = "Top-two relative-error gaps per metric, with their arithmetic mean."
 
 
 def target_profile(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import analysis, report
 from .core import MetricSpec, Profile, Unit, _number, fold_name
@@ -137,7 +136,8 @@ def _load_table(args: argparse.Namespace) -> DistanceTable:
             raise _UsageError(f"unknown builtin data source {source!r}")
         return builtin_table(token)
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        with open(source, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read data file {source!r}: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8 text, or a NUL in the path

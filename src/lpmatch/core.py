@@ -36,10 +36,10 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import repeat, starmap
 from operator import mul, neg, truediv
-from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidValue
 

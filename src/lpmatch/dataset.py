@@ -10,20 +10,21 @@ reference, so that rankings reduce whole columns and a reference subset picks
 columns without copying rows.
 
 ``parse_table`` loads column by column too.  A text without '"', '\\r' or
-NUL, none of whose lines is longer than ``csv.field_size_limit()``, is one
+NUL, none of whose lines is longer than csv's field size limit, is one
 whose csv records are its lines split at the delimiter.  When each of its
 lines holds the header's count of delimiters, it is read whole, without the
 csv module: each line is cut at its first delimiter into name and value
 cells, and the value cells of all rows are joined into one text, which is
 checked and has its decimal commas replaced at once.  Any other text, with
 quoted cells or blank lines for instance, is read as csv records, and their
-value cells are joined the same way.  Each column, a stride slice of the
-cells, is converted with one ``map(float, ...)``; the table checks each
-column with C-level reductions (every value finite, the minimum above zero)
-and finds duplicate candidates from the size of its key index.  Where any of
-that fails, the input is walked again one record and one row after another,
-and that walk alone decides which error is raised, with the same message,
-line and column as a row-by-row load.  Rows handed to the constructor as
+value cells are joined the same way; only then is the csv module imported.
+Each column, a stride slice of the cells, is converted with one
+``map(float, ...)``; the table checks each column with C-level reductions
+(every value finite, the minimum above zero) and finds duplicate candidates
+from the size of its key index.  Where any of that fails, the input is
+walked again one record and one row after another, and that walk alone
+decides which error is raised, with the same message, line and column as a
+row-by-row load.  Rows handed to the constructor as
 (name, values) pairs take the row walk directly.  A name's key, which every
 lookup matches, is ``core.fold_name`` of its spelling, folded once;
 ``_named`` decides only how the name is displayed.  A parsed table folds its
@@ -37,13 +38,13 @@ Python 3.11, against about 9.9 ms when it is read as csv records.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
+import sys
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .core import Profile, Unit, _coerce, _floats, _fold_names, _number, _shown, fold_name
 from .errors import InvalidValue, ParseError
@@ -362,10 +363,17 @@ def _sniff_delimiter(text: str) -> str:
 def _records(reader):
     """The records of a csv reader; malformed csv (such as a field over the
     csv module's size limit) raises ParseError at the line reached."""
+    import csv
+
     try:
         yield from reader
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
+
+
+# csv.field_size_limit() until a caller changes it; the limit is state of
+# the _csv module, so it holds this value while _csv is not loaded
+_FIELD_SIZE_LIMIT = 131072
 
 
 def _split_cells(text: str, delimiter: str) -> tuple | None:
@@ -387,9 +395,10 @@ def _split_cells(text: str, delimiter: str) -> tuple | None:
     if len(lines) < 2 or not lines[0].replace(delimiter, "").strip():
         return None
     delimiters = lines[0].count(delimiter)
+    limit = sys.modules["_csv"].field_size_limit() if "_csv" in sys.modules else _FIELD_SIZE_LIMIT
     if (not delimiters
             or not all(map(delimiters.__eq__, map(str.count, lines, repeat(delimiter))))
-            or max(map(len, lines)) > csv.field_size_limit()):
+            or max(map(len, lines)) > limit):
         return None
     rows = list(map(str.partition, lines[1:], repeat(delimiter)))
     cells = "\n".join(map(itemgetter(2), rows)).replace(delimiter, "\n")
@@ -398,9 +407,14 @@ def _split_cells(text: str, delimiter: str) -> tuple | None:
 
 def _record_cells(text: str, delimiter: str) -> tuple | None:
     """``_split_cells`` of ``text`` read as csv records, blank records
-    skipped; None unless every other record has the header's width.
-    Raises csv.Error where the row walk raises ParseError."""
-    records = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    skipped; None unless every other record has the header's width, and
+    None where the row walk raises ParseError for malformed csv."""
+    import csv
+
+    try:
+        records = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    except csv.Error:
+        return None
     # a record is blank exactly when its cells joined are
     body = list(compress(records, map(str.strip, map("".join, records))))
     width = len(body[0]) if body else 0
@@ -415,7 +429,7 @@ def _parsed_columns(text: str, delimiter: str, comma: bool) -> tuple | None:
     """The header, raw candidate names and float value columns of ``text``,
     or None unless every record is one that the row walk accepts.
 
-    Raises csv.Error or ValueError where the row walk raises ParseError.
+    Raises ValueError where the row walk raises ParseError.
     """
     parsed = _split_cells(text, delimiter) or _record_cells(text, delimiter)
     if parsed is None:
@@ -437,6 +451,8 @@ def _parsed_columns(text: str, delimiter: str, comma: bool) -> tuple | None:
 def _walked_rows(text: str, delimiter: str, comma: bool) -> tuple[list, list]:
     """The header and (name, values) rows of ``text``, read one record after
     another; raises ParseError at the first malformed record."""
+    import csv
+
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     header: list[str] | None = None
     rows: list[tuple[str, tuple[float, ...]]] = []
@@ -490,7 +506,7 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
     comma = decimal == "comma"
     try:
         parsed = _parsed_columns(text, delimiter, comma)
-    except (csv.Error, ValueError):
+    except ValueError:
         parsed = None
     if parsed is None:  # the record walk raises the first record's error
         header, rows = _walked_rows(text, delimiter, comma)
@@ -501,6 +517,8 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
 
 def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:
     """Serialize with dot decimals at full precision; inverse of parse_table."""
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow(("name",) + table.references)

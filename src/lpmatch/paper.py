@@ -17,24 +17,22 @@ only, so ranking a table of one's own never compiles it.
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from itertools import chain
-from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
 
 from .analysis import (
     CLASSIC_SOLUTION,
     REFINED_SOLUTION,
     STANDARD_METRICS,
-    GapReport,
-    RankingEntry,
     SolutionProfile,
     _percent,
     _rank_family,
     target_profile,
 )
-from .core import DEFAULT_RATES, ConversionRates, MetricSpec, Profile, Unit, _Checked
-from .dataset import REFERENCES, DistanceTable, builtin_table, subset_references
+from .core import DEFAULT_RATES, ConversionRates, MetricSpec, Unit, _Checked
+from .dataset import REFERENCES, builtin_table, subset_references
 from .errors import InvalidValue
 from .report import (
     RenderedTable,
@@ -92,12 +90,11 @@ class Configuration(_Checked, namedtuple("Configuration", "solution unit referen
         return f"{self.family_label} {self.metric.label}"
 
 
-class SweepResult(NamedTuple):
-    ranking: tuple[RankingEntry, ...]
-    errors: tuple[float, ...]  # relative error (%) aligned with ranking
-    gaps: GapReport  # shared by the three metric configurations of a family
-    table: DistanceTable  # the family's table, restricted to its references
-    target: Profile  # the solution converted to the table's unit and references
+# ranking: a tuple of RankingEntry; errors: the relative errors (%) aligned
+# with it; gaps: the GapReport shared by the three metric configurations of a
+# family; table: the family's DistanceTable, restricted to its references;
+# target: the solution as a Profile in the table's unit and references
+SweepResult = namedtuple("SweepResult", "ranking errors gaps table target")
 
 
 def sweep(
@@ -146,27 +143,17 @@ def run_builtin_grid(rates: ConversionRates = DEFAULT_RATES) -> dict[Configurati
     )
 
 
-class FamilyStats(NamedTuple):
-    """Aggregates for one (solution, unit, reference subset) family."""
+# mean_top_error: the mean over the metrics of the winner's relative error
+FamilyStats = namedtuple("FamilyStats",
+                         "label solution unit references mean_gap mean_top_error")
+FamilyStats.__doc__ = "Aggregates for one (solution, unit, reference subset) family."
 
-    label: str
-    solution: str
-    unit: Unit
-    references: tuple[str, ...]
-    mean_gap: float
-    mean_top_error: float  # mean over the metrics of the winner's relative error
-
-
-class GridSummary(NamedTuple):
-    """Machine-checkable conclusions drawn from a full grid sweep."""
-
-    top_candidates: tuple[tuple[Configuration, str], ...]
-    families: tuple[FamilyStats, ...]
-    lowest_error_family: FamilyStats
-    highest_mean_gap_family: FamilyStats
-    lowest_mean_gap_family: FamilyStats
-    unit_pairs_agree: bool
-    disagreeing_pairs: tuple[tuple[str, int, str], ...]  # (solution, refs, metric)
+# top_candidates: (Configuration, winner) pairs; disagreeing_pairs:
+# (solution, reference count, metric token) triples
+GridSummary = namedtuple("GridSummary", (
+    "top_candidates families lowest_error_family highest_mean_gap_family "
+    "lowest_mean_gap_family unit_pairs_agree disagreeing_pairs"))
+GridSummary.__doc__ = "Machine-checkable conclusions drawn from a full grid sweep."
 
 
 def summarize_conclusions(results: Mapping[Configuration, SweepResult]) -> GridSummary:
@@ -218,16 +205,14 @@ def summarize_conclusions(results: Mapping[Configuration, SweepResult]) -> GridS
     )
 
 
-class ExternalResultRow(NamedTuple):
-    """A comparison row carried verbatim from earlier published analyses.
+# entries: (locality, relative error %) pairs; gap and mean: None when the
+# analysis gave none
+ExternalResultRow = namedtuple("ExternalResultRow", "source entries gap mean",
+                               defaults=(None, None))
+ExternalResultRow.__doc__ = """A comparison row carried verbatim from earlier published analyses.
 
-    These values are compiled-in constants and are never recomputed.
-    """
-
-    source: str
-    entries: tuple[tuple[str, float], ...]  # (locality, relative error %)
-    gap: float | None = None
-    mean: float | None = None
+These values are compiled-in constants and are never recomputed.
+"""
 
 
 EXTERNAL_ERROR_ROWS = (
@@ -386,16 +371,18 @@ def build_document_set(
 
 
 def write_document_set(
-    outdir: str | Path,
+    outdir: str | os.PathLike[str],
     fmt: str = "md",
     rates: ConversionRates = DEFAULT_RATES,
-) -> list[Path]:
+) -> list[os.PathLike[str]]:
     """Write the complete built-in analysis to ``outdir``; byte-stable.
 
     Emits the two dataset documents (table_01, table_05) and the result
-    documents of ``build_document_set``.  Returns the written paths in name
-    order.
+    documents of ``build_document_set``.  Returns the written paths, as
+    ``pathlib.Path`` objects, in name order.
     """
+    from pathlib import Path
+
     documents = build_document_set(run_builtin_grid(rates), fmt)
     documents["table_01"] = build_dataset_table(
         builtin_table(Unit.KILOMETERS), "Candidate distances in kilometers", fmt

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from decimal import ROUND_HALF_UP, Context, Decimal
+from collections.abc import Sequence
+from functools import lru_cache
 from itertools import chain
-from typing import Sequence
 
 from .analysis import GapReport, RankingEntry, SolutionProfile, relative_error_percent, top_k
 from .core import MetricSpec, Profile, _Checked, _coerce, _real, _shown
@@ -38,11 +38,19 @@ FORMATS = ("md", "csv", "jsonl")
 TARGET_LABEL = "LUGAR DE LA MANCHA"
 
 
-# Two decimals of the largest finite double take 311 significant digits.  The
-# rounding uses this context alone, so the caller's decimal context (its
-# traps, precision and exponent limits) never changes or breaks the text.
-_CONTEXT = Context(prec=320, rounding=ROUND_HALF_UP)
-_CENT = Decimal("0.01")
+@lru_cache(maxsize=None)
+def _cent_rounding():
+    """``Decimal``, the cent and the context that rounds to it.
+
+    Made on first use, so that importing the module loads no ``decimal``.
+    Two decimals of the largest finite double take 311 significant digits.
+    The rounding uses this context alone, so the caller's decimal context
+    (its traps, precision and exponent limits) never changes or breaks the
+    text.
+    """
+    from decimal import ROUND_HALF_UP, Context, Decimal
+
+    return Decimal, Decimal("0.01"), Context(prec=320, rounding=ROUND_HALF_UP)
 
 
 def format_2dp(x: float) -> str:
@@ -53,7 +61,8 @@ def format_2dp(x: float) -> str:
     value = _coerce(_real, x, "a value to format must be a real number")
     if not math.isfinite(value):
         raise InvalidValue(f"a value to format must be finite, got {_shown(x)}")
-    return str(Decimal(repr(value)).quantize(_CENT, context=_CONTEXT))
+    decimal, cent, context = _cent_rounding()
+    return str(decimal(repr(value)).quantize(cent, context=context))
 
 
 class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows fmt",

@@ -134,6 +134,11 @@ class TestUsageErrors:
         assert code == 2
         assert "nope.csv" in err
 
+    def test_an_empty_data_path_exits_2_with_an_error_line(self, capsys):
+        code, out, err = invoke(capsys, "rank", "--data", "")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read data file '': No such file or directory\n"
+
     def test_non_utf8_file_exits_2_with_an_error_line(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"name;a\nX;1,0\n\xff;2,0\n")

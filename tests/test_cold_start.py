@@ -1,12 +1,15 @@
 """Importing the library or the CLI loads only what its commands need.
 
 ``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
-``tokenize``) and ``json`` cost start-up time in every ``lpmatch`` process.
-The records are named tuples and ``json`` is imported by the jsonl writer
-itself, so a fresh interpreter that imports ``lpmatch.cli`` loads neither.
-Nor does ``import lpmatch`` or ``import lpmatch.cli`` load ``lpmatch.paper``,
-the paper's grid and documents: the package resolves those names on first
-use.  Both interpreters of a comparison run with ``-S``, so modules that a
+``tokenize``), ``json``, ``typing``, ``pathlib``, ``decimal`` and ``csv`` cost
+start-up time in every ``lpmatch`` process.  The records are
+``collections.namedtuple`` classes, and ``json``, ``pathlib``, ``decimal``
+and ``csv`` are imported by the code that needs them, so a fresh
+interpreter that imports ``lpmatch.cli`` or ``lpmatch.paper`` loads none of
+them, and parsing a table without quotes leaves ``csv`` unloaded.  Nor does
+``import lpmatch`` or ``import lpmatch.cli`` load ``lpmatch.paper``, the
+paper's grid and documents: the package resolves those names on first use.
+Both interpreters of a comparison run with ``-S``, so modules that a
 ``site`` hook of the host preloads can hide nothing.
 """
 
@@ -18,7 +21,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-START_UP_ONLY = {"dataclasses", "inspect", "json", "lpmatch.paper"}
+START_UP_ONLY = {"dataclasses", "inspect", "json", "lpmatch.paper", "typing", "pathlib",
+                 "decimal", "csv"}
 
 # every name the package exported before the paper grid moved to lpmatch.paper
 EXPORTED = (
@@ -45,11 +49,31 @@ def loaded_modules(statement: str) -> set[str]:
     return set(run_clean(f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))").split())
 
 
-def test_cli_import_loads_no_dataclasses_inspect_json_or_paper():
+def test_cli_import_loads_no_start_up_only_module():
     bare = loaded_modules("pass")
     cli = loaded_modules("import lpmatch.cli")
     assert "lpmatch.cli" in cli
     assert sorted((cli - bare) & START_UP_ONLY) == []
+
+
+def test_paper_import_loads_no_typing_pathlib_decimal_or_csv():
+    bare = loaded_modules("pass")
+    paper = loaded_modules("import lpmatch.paper")
+    assert "lpmatch.paper" in paper
+    assert sorted((paper - bare) & {"typing", "pathlib", "decimal", "csv"}) == []
+
+
+def test_a_quote_free_table_parses_without_csv():
+    code = ("import sys\n"
+            "from lpmatch import Unit, parse_table, dataset\n"
+            "text = 'name;a;b\\nX;1,5;2\\nY;3;4\\n'\n"
+            "table = parse_table(text, unit=Unit.HOURS)\n"
+            "print(len(table), 'csv' in sys.modules)\n"
+            "quoted = parse_table('name;a\\n\"X;Y\";1\\n', unit=Unit.HOURS)\n"
+            "import csv\n"
+            "print(quoted.candidates, 'csv' in sys.modules,\n"
+            "      csv.field_size_limit() == dataset._FIELD_SIZE_LIMIT)")
+    assert run_clean(code).split("\n")[:2] == ["2 False", "('X;Y',) True True"]
 
 
 def test_package_import_loads_no_paper():

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import sys
 import unicodedata
 from unittest import mock
 
@@ -541,7 +542,7 @@ def no_split(text, delimiter):
 
 
 SPLIT_NAMES = ["a", "b c", " x ", "cózar", "ıbiza x", "n\x85o", "p\u2028q", "١٢", "r_s", "7"]
-SPLIT_BAD_NAMES = ["Fuencollana", "Fuenllana", "A", "", "  ", "1,5", "s\tt", "u;v"]
+SPLIT_BAD_NAMES = ["Fuencollana", "Fuenllana", "A", "", "  ", "1,5", "s\tt", "u;v", "w\rx", "\ry"]
 SPLIT_CELLS = ["1", "2.5", " 12 ", "1e-320", "1e308"]
 SPLIT_BAD_CELLS = ["0", "-1", "nan", "inf", "1e309", "1_0", "١٢", "x", "", " ", "5\x00",
                    "1,5", "2.5,0", "9" * 30, '"1\n2"', '"2\n"', '"3"']
@@ -581,9 +582,14 @@ def split_texts(draw):
         else:
             lines[0][draw(st.integers(0, len(lines[0]) - 1))] = draw(
                 st.sampled_from(["R0", " ", "", "ñ"]))
-    ending = draw(st.sampled_from(["\n", "\n", "\n", "\n", "\r\n", "\r"]))
-    text = ending.join(delimiter.join(line) for line in lines)
-    text += draw(st.sampled_from(["", "\n", "", "\n", "\n\n", "\r\n", " \n"]))
+    ending = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r\n", "\r", "mixed"]))
+    endings = [ending] * (len(lines) - 1)
+    if ending == "mixed":  # '\n' and '\r\n', and a lone '\r' now and then
+        endings = [draw(st.sampled_from(["\n", "\r\n", "\r\n", "\r"]))
+                   for _ in endings]
+    text = "".join(delimiter.join(line) + end for line, end in zip(lines, endings + [""]))
+    text += draw(st.sampled_from(["", "\n", "\n\n", "\r\n", "\r\n\r\n", "\n\r\n\n",
+                                  " \n", "\r", "\n\r"]))
     return text, decimal, draw(st.sampled_from([None, None, 8, 20]))
 
 
@@ -620,6 +626,10 @@ def test_a_quote_free_table_takes_the_split_path(monkeypatch):
 
 @pytest.mark.parametrize("text", ['name;a\n"X";1\n', "name;a\r\nX;1\r\n", "name;a\nX\x00;1\n",
                                   "\nname;a\nX;1\n", "name;a\nX;1\n\n", "name;a\n\nX;1\n",
+                                  "name;a\r\nX;1\r\n\r\n", "name;a\r\nX;1\nY;2\r\n",
+                                  "name;a\nX;1\n\r\n\n", "name;a\rX;1\r", "name;a\r\nX;1\r",
+                                  "name;a\r\r\nX;1\n", "name;a\nW\rX;1\n", "name;a\nX;1\n\n \n",
+                                  "name;a\r\n\r\nX;1\r\n",
                                   "name;a\nX;1;2\n", ";\nX;1\n", "name;a\nX;1;2\n3\n",
                                   "name;a;b\n7\nX;1;2;3\n", "name\nX;1\n"])
 def test_other_shapes_leave_the_split_path(text):
@@ -639,6 +649,14 @@ def test_a_line_longer_than_the_field_limit_leaves_the_split_path():
         assert dataset._split_cells(text, ";") is None
     finally:
         csv.field_size_limit(default_limit)
+
+
+def test_the_field_limit_is_the_default_while_csv_is_not_loaded(monkeypatch):
+    monkeypatch.delitem(sys.modules, "_csv")
+    limit = dataset._FIELD_SIZE_LIMIT
+    line = "X;" + "1" * (limit - 2)
+    assert dataset._split_cells(f"name;a\n{line}\n", ";") is not None
+    assert dataset._split_cells(f"name;a\n{line}1\n", ";") is None
 
 
 class OneShot(list):

@@ -4,10 +4,15 @@ import hashlib
 import io
 import json
 import math
-from decimal import Decimal
+import random
+import struct
+import sys
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpmatch import paper
 from lpmatch.analysis import CLASSIC_SOLUTION, REFINED_SOLUTION, rank_candidates, target_profile
@@ -25,7 +30,45 @@ from lpmatch.paper import (
 from lpmatch.report import TARGET_LABEL, RenderedTable, build_ranking_table, format_2dp
 
 
+# two decimals of the largest finite double take 311 significant digits
+DECIMAL_ORACLE = decimal.Context(prec=320, rounding=ROUND_HALF_UP)
+
+
+def decimal_2dp(value: float) -> str:
+    """The text format_2dp gives, computed with the decimal module."""
+    return str(Decimal(repr(value)).quantize(Decimal("0.01"), context=DECIMAL_ORACLE))
+
+
+PARITY_VALUES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 2.675,
+                 1.005, -0.001, 0.005, 9.995, -999.995, 1e16, 1e22, 1.5e-07, 0.995, -0.995,
+                 99.999, 1e-4, 9.999999999999998e15, 1.2345678901234567e16, 123456789012345.67]
+
+
 class TestFormat2dp:
+    @pytest.mark.parametrize("value", PARITY_VALUES)
+    def test_matches_decimal_rounding_on_edge_values(self, value):
+        assert format_2dp(value) == decimal_2dp(value)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    def test_matches_decimal_rounding_on_finite_floats(self, value):
+        assert format_2dp(value) == decimal_2dp(value)
+
+    def test_matches_decimal_rounding_on_random_bit_patterns(self):
+        rng = random.Random(2008)
+        values = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+                  for _ in range(20000)]
+        finite = [v for v in values if math.isfinite(v)]
+        assert len(finite) > 19000
+        assert [format_2dp(v) for v in finite] == [decimal_2dp(v) for v in finite]
+
+    def test_matches_decimal_rounding_on_three_decimal_ties(self):
+        # n / 1000 for n an odd multiple of 5 has a third decimal of 5 in its
+        # repr, a tie or just beside one; 0.995 -> 1.00 and the other carries
+        # into the whole part are among them
+        values = [sign * n / 1000 for n in range(5, 200000, 10) for sign in (1, -1)]
+        assert [format_2dp(v) for v in values] == [decimal_2dp(v) for v in values]
+
     @pytest.mark.parametrize(
         "value,expected",
         [
