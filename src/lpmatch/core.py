@@ -38,6 +38,7 @@ import unicodedata
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
+from functools import lru_cache
 from itertools import repeat, starmap
 from operator import mul, neg, truediv
 
@@ -129,25 +130,16 @@ def _strings(values: Iterable[object]) -> tuple[str, ...]:
     return tuple(map(str, values))
 
 
-class _Unmarked(dict):
-    """What a non-ASCII character of a folded key becomes: nothing for a
-    combining mark, the character itself otherwise.
-
-    Each character is looked up with ``unicodedata.combining`` the first
-    time it is folded and remembered, so the table holds one entry per
-    distinct character seen, up to ``_UNMARKED_SIZE`` of them.
-    """
-
-    def __missing__(self, char: str) -> str:
-        kept = "" if unicodedata.combining(char) else char
-        if len(self) < _UNMARKED_SIZE:
-            self[char] = kept
-        return kept
+@lru_cache(maxsize=4096)
+def _unmarked(char: str) -> str:
+    """What a non-ASCII character of a folded key becomes: "i" for the
+    dotless ı, as its title case I folds, nothing for a combining mark, the
+    character itself otherwise."""
+    if char == "ı":
+        return "i"
+    return "" if unicodedata.combining(char) else char
 
 
-_UNMARKED_SIZE = 4096
-# the dotless ı folds to i, as its title case I does
-_UNMARKED = _Unmarked({"ı": "i"})
 _ASCII = frozenset(map(chr, range(128)))
 
 # folded alternate spelling -> folded name: "Fuencollana" is an accepted
@@ -170,7 +162,7 @@ def _folded(text: str) -> str:
         return text.lower()
     text = unicodedata.normalize("NFKD", text.casefold())
     for char in set(text) - _ASCII:
-        kept = _UNMARKED[char]
+        kept = _unmarked(char)
         if kept != char:
             text = text.replace(char, kept)
     return text

@@ -9,31 +9,33 @@ A ``DistanceTable`` stores its values by column, one value tuple per
 reference, so that rankings reduce whole columns and a reference subset picks
 columns without copying rows.
 
-``parse_table`` loads column by column too.  A text without '"', '\\r' or
-NUL, none of whose lines is longer than csv's field size limit, is one
-whose csv records are its lines split at the delimiter.  When each of its
-lines holds the header's count of delimiters, it is read whole, without the
-csv module: each line is cut at its first delimiter into name and value
-cells, and the value cells of all rows are joined into one text, which is
-checked and has its decimal commas replaced at once.  Any other text, with
-quoted cells or blank lines for instance, is read as csv records, and their
-value cells are joined the same way; only then is the csv module imported.
-Each column, a stride slice of the cells, is converted with one
-``map(float, ...)``; the table checks each column with C-level reductions
-(every value finite, the minimum above zero) and finds duplicate candidates
-from the size of its key index.  Where any of that fails, the input is
-walked again one record and one row after another, and that walk alone
-decides which error is raised, with the same message, line and column as a
-row-by-row load.  Rows handed to the constructor as
-(name, values) pairs take the row walk directly.  A name's key, which every
-lookup matches, is ``core.fold_name`` of its spelling, folded once;
-``_named`` decides only how the name is displayed.  A parsed table folds its
-name column in one pass (``core._fold_names``): the names, whitespace
-collapsed, are joined by newlines and folded as one text, then split again,
-and they are title-cased for display the same way.  A cell is a number only
-if it is ASCII without ``_``.  A warm ``parse_table`` of a 1,000x16
-decimal-comma file takes about 7.5 ms on a shared 2-vCPU Xeon host under
-Python 3.11, against about 9.9 ms when it is read as csv records.
+``parse_table`` loads column by column too, by one of two paths.  A text
+without '"', '\\r' or NUL, none of whose lines is longer than csv's field
+size limit and each of whose lines holds the header's count of delimiters,
+is one whose csv records are its lines split at the delimiter; it is read
+whole, without the csv module: each line is cut at its first delimiter into
+name and value cells, and the value cells of all rows are joined into one
+text, which is checked and has its decimal commas replaced at once.  Each
+column, a stride slice of the cells, is converted with one
+``map(float, ...)``.  Every other text, with quoted cells, '\\r\\n' line
+ends or blank lines for instance, and every text whose cells the split path
+cannot convert, is walked one csv record after another, which raises the
+first malformed record's error; only then is the csv module imported.  Both
+paths end in the same column check: the table checks each column with
+C-level reductions (every value finite, the minimum above zero) and finds
+duplicate candidates from the size of its key index.  Where that fails, the
+rows are walked one after another, and that walk alone decides which error
+is raised, with the same message, line and column as a row-by-row load.
+Rows handed to the constructor as (name, values) pairs take the row walk
+directly.  A name's key, which every lookup matches, is ``core.fold_name``
+of its spelling, folded once; ``_named`` decides only how the name is
+displayed.  A parsed table folds its name column in one pass
+(``core._fold_names``): the names, whitespace collapsed, are joined by
+newlines and folded as one text, then split again, and they are title-cased
+for display the same way.  A cell is a number only if it is ASCII without
+``_``.  A warm ``parse_table`` of a 1,000x16 decimal-comma file takes about
+9 ms by the split path and about 21 ms by the record walk, on a shared
+2-vCPU Xeon host under Python 3.11.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 import sys
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from .core import Profile, Unit, _coerce, _floats, _fold_names, _number, _shown, fold_name
@@ -360,32 +362,23 @@ def _sniff_delimiter(text: str) -> str:
     return ","
 
 
-def _records(reader):
-    """The records of a csv reader; malformed csv (such as a field over the
-    csv module's size limit) raises ParseError at the line reached."""
-    import csv
-
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
-
-
 # csv.field_size_limit() until a caller changes it; the limit is state of
 # the _csv module, so it holds this value while _csv is not loaded
 _FIELD_SIZE_LIMIT = 131072
 
 
-def _split_cells(text: str, delimiter: str) -> tuple | None:
-    """The header cells, raw names and value cells of ``text``, from its
-    lines split at ``delimiter``; None unless that is how csv reads it and
-    every line is a record of the header's width.
+def _split_cells(text: str, delimiter: str, comma: bool) -> tuple | None:
+    """The header, raw candidate names and float value columns of ``text``,
+    from its lines split at ``delimiter``; None unless that is how csv reads
+    it, every line is a record of the header's width and every value cell is
+    ASCII without ``_``.
 
-    The value cells come as one text, row after row, joined by '\\n'.
     Without '"', '\\r' or NUL, a csv record is a '\\n'-ended line split at
     the delimiter, and no field is longer than its line.  A blank line, or a
     line of another width, returns None; so does a blank header, which csv
-    would skip.
+    would skip.  The value cells come as one text, row after row, joined by
+    '\\n', which is checked and has its decimal commas replaced at once.
+    Raises ValueError where a cell is not a number.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -394,94 +387,63 @@ def _split_cells(text: str, delimiter: str) -> tuple | None:
         lines.pop()  # the newline that ends the last line
     if len(lines) < 2 or not lines[0].replace(delimiter, "").strip():
         return None
-    delimiters = lines[0].count(delimiter)
+    width = lines[0].count(delimiter)
     limit = sys.modules["_csv"].field_size_limit() if "_csv" in sys.modules else _FIELD_SIZE_LIMIT
-    if (not delimiters
-            or not all(map(delimiters.__eq__, map(str.count, lines, repeat(delimiter))))
+    if (not width
+            or not all(map(width.__eq__, map(str.count, lines, repeat(delimiter))))
             or max(map(len, lines)) > limit):
         return None
     rows = list(map(str.partition, lines[1:], repeat(delimiter)))
     cells = "\n".join(map(itemgetter(2), rows)).replace(delimiter, "\n")
-    return lines[0].split(delimiter), list(map(itemgetter(0), rows)), cells
-
-
-def _record_cells(text: str, delimiter: str) -> tuple | None:
-    """``_split_cells`` of ``text`` read as csv records, blank records
-    skipped; None unless every other record has the header's width, and
-    None where the row walk raises ParseError for malformed csv."""
-    import csv
-
-    try:
-        records = list(csv.reader(io.StringIO(text), delimiter=delimiter))
-    except csv.Error:
-        return None
-    # a record is blank exactly when its cells joined are
-    body = list(compress(records, map(str.strip, map("".join, records))))
-    width = len(body[0]) if body else 0
-    if len(body) < 2 or width < 2 or not all(map(width.__eq__, map(len, body))):
-        return None
-    rows = body[1:]
-    cells = "\n".join(chain.from_iterable(map(itemgetter(slice(1, None)), rows)))
-    return body[0], list(map(itemgetter(0), rows)), cells
-
-
-def _parsed_columns(text: str, delimiter: str, comma: bool) -> tuple | None:
-    """The header, raw candidate names and float value columns of ``text``,
-    or None unless every record is one that the row walk accepts.
-
-    Raises ValueError where the row walk raises ParseError.
-    """
-    parsed = _split_cells(text, delimiter) or _record_cells(text, delimiter)
-    if parsed is None:
-        return None
-    header, names, cells = parsed
     if not cells.isascii() or "_" in cells:
         return None  # a cell that _number may reject
     if comma:
         cells = cells.replace(",", ".")
     cells = cells.split("\n")
-    width = len(header) - 1
-    if len(cells) != len(names) * width:
-        return None  # a quoted cell holds a newline
     # float() ignores the same surrounding whitespace that the walk strips
     columns = [tuple(map(float, cells[j::width])) for j in range(width)]
-    return [cell.strip() for cell in header], names, columns
+    header = [cell.strip() for cell in lines[0].split(delimiter)]
+    return header, list(map(itemgetter(0), rows)), columns
 
 
 def _walked_rows(text: str, delimiter: str, comma: bool) -> tuple[list, list]:
-    """The header and (name, values) rows of ``text``, read one record after
-    another; raises ParseError at the first malformed record."""
+    """The header and (name, values) rows of ``text``, read one csv record
+    after another; raises ParseError at the first malformed record, such as
+    one with a field over the csv module's size limit."""
     import csv
 
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     header: list[str] | None = None
     rows: list[tuple[str, tuple[float, ...]]] = []
-    for record in _records(reader):
-        line = reader.line_num
-        if not any(cell.strip() for cell in record):
-            continue
-        if header is None:
-            header = [cell.strip() for cell in record]
-            if len(header) < 2:
-                raise ParseError(f"line {line}: header needs a name column plus references",
-                                 line=line)
-            continue
-        if len(record) != len(header):
-            raise ParseError(
-                f"line {line}: expected {len(header)} fields, found {len(record)}",
-                line=line,
-            )
-        values = []
-        for col, cell in enumerate(record[1:], start=2):
-            try:
-                values.append(_number(cell, comma))
-            except ValueError:
+    try:
+        for record in reader:
+            line = reader.line_num
+            if not any(cell.strip() for cell in record):
+                continue
+            if header is None:
+                header = [cell.strip() for cell in record]
+                if len(header) < 2:
+                    raise ParseError(f"line {line}: header needs a name column plus references",
+                                     line=line)
+                continue
+            if len(record) != len(header):
                 raise ParseError(
-                    f"line {line}, column {col}: {cell.strip()!r} is not a number",
+                    f"line {line}: expected {len(header)} fields, found {len(record)}",
                     line=line,
-                    column=col,
-                ) from None
-        rows.append((record[0].strip(), tuple(values)))
+                )
+            values = []
+            for col, cell in enumerate(record[1:], start=2):
+                try:
+                    values.append(_number(cell, comma))
+                except ValueError:
+                    raise ParseError(
+                        f"line {line}, column {col}: {cell.strip()!r} is not a number",
+                        line=line,
+                        column=col,
+                    ) from None
+            rows.append((record[0].strip(), tuple(values)))
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
     if header is None or not rows:
         raise InvalidValue("table has no candidate rows")
     return header, rows
@@ -505,12 +467,13 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
         decimal = "comma" if delimiter in (";", "\t") else "dot"
     comma = decimal == "comma"
     try:
-        parsed = _parsed_columns(text, delimiter, comma)
+        parsed = _split_cells(text, delimiter, comma)
     except ValueError:
         parsed = None
-    if parsed is None:  # the record walk raises the first record's error
+    if parsed is None:  # the record walk raises the first malformed record's error
         header, rows = _walked_rows(text, delimiter, comma)
-        return DistanceTable(unit, header[1:], rows)
+        names, values = zip(*rows)
+        parsed = header, names, list(zip(*values))
     header, names, columns = parsed
     return DistanceTable(unit, header[1:], None, _columns=(names, columns))
 

@@ -229,6 +229,41 @@ class TestFileData:
         assert "error:" in err
 
 
+class TestFileShapes:
+    """One table spelt four ways that csv reads alike: '\\n' and '\\r\\n'
+    line ends, every name quoted, and a trailing blank line."""
+
+    LINES = ("name,north,south", "Nearby,10,20", "Faraway,40,30", "Midway,20,25")
+
+    def shapes(self, tmp_path, lines):
+        quoted = [lines[0]] + ['"{}",{}'.format(*line.split(",", 1)) for line in lines[1:]]
+        texts = {"lf": "\n".join(lines) + "\n", "crlf": "\r\n".join(lines) + "\r\n",
+                 "quoted": "\n".join(quoted) + "\n", "blank": "\n".join(lines) + "\n\n"}
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.encode("utf-8"))  # no newline translation
+            yield path
+
+    @pytest.mark.parametrize("command", ["rank", "gaps"])
+    def test_every_shape_prints_the_same_csv(self, capsys, tmp_path, command):
+        printed = set()
+        for path in self.shapes(tmp_path, self.LINES):
+            code, out, err = invoke(capsys, command, "--data", str(path), "--unit", "jornadas",
+                                    "--solution", "11,19", "--format", "csv")
+            assert (code, err) == (0, "")
+            printed.add(out)
+        (out,) = printed
+        assert "Nearby" in out and "Midway" in out
+
+    def test_a_short_last_row_exits_1_in_every_shape(self, capsys, tmp_path):
+        lines = self.LINES[:-1] + (self.LINES[-1].rsplit(",", 1)[0],)
+        for path in self.shapes(tmp_path, lines):
+            code, out, err = invoke(capsys, "rank", "--data", str(path), "--unit", "jornadas",
+                                    "--solution", "11,19", "--format", "csv")
+            assert (code, out) == (1, "")
+            assert err == "error: line 4: expected 3 fields, found 2\n"
+
+
 class TestErrorsCommand:
     def test_classic_km_l1_golden(self, capsys):
         code, out, _ = invoke(capsys, "errors", "--metric", "l1")

@@ -537,7 +537,7 @@ def test_parse_table_matches_the_row_by_row_oracle(text_and_decimal, unit):
     assert outcome(lambda: parse_table(text, unit=unit, decimal=decimal)) == expected
 
 
-def no_split(text, delimiter):
+def no_split(text, delimiter, comma):
     return None
 
 
@@ -610,10 +610,10 @@ def test_the_split_path_reads_as_csv_does(case, unit):
 
 
 def test_a_quote_free_table_takes_the_split_path(monkeypatch):
-    def csv_read(*args):
-        raise AssertionError("csv records read")
+    def walk(*args):
+        raise AssertionError("csv records walked")
 
-    monkeypatch.setattr(dataset, "_record_cells", csv_read)
+    monkeypatch.setattr(dataset, "_walked_rows", walk)
     text = "nombre;a;b\n x  y ;1,5; 2,25 \ncózar;3;4,5"
     table = parse_table(text, unit=Unit.HOURS)
     assert table.candidates == ("X Y", "Cózar")
@@ -633,7 +633,7 @@ def test_a_quote_free_table_takes_the_split_path(monkeypatch):
                                   "name;a\nX;1;2\n", ";\nX;1\n", "name;a\nX;1;2\n3\n",
                                   "name;a;b\n7\nX;1;2;3\n", "name\nX;1\n"])
 def test_other_shapes_leave_the_split_path(text):
-    assert dataset._split_cells(text, ";") is None
+    assert dataset._split_cells(text, ";", True) is None
     read = outcome(lambda: parse_table(text, unit=Unit.HOURS))
     with mock.patch.object(dataset, "_split_cells", no_split):
         assert read == outcome(lambda: parse_table(text, unit=Unit.HOURS))
@@ -644,9 +644,9 @@ def test_a_line_longer_than_the_field_limit_leaves_the_split_path():
     text = "name;a\nX;12345\n"
     try:
         csv.field_size_limit(7)
-        assert dataset._split_cells(text, ";") is not None
+        assert dataset._split_cells(text, ";", True) is not None
         csv.field_size_limit(6)
-        assert dataset._split_cells(text, ";") is None
+        assert dataset._split_cells(text, ";", True) is None
     finally:
         csv.field_size_limit(default_limit)
 
@@ -655,8 +655,8 @@ def test_the_field_limit_is_the_default_while_csv_is_not_loaded(monkeypatch):
     monkeypatch.delitem(sys.modules, "_csv")
     limit = dataset._FIELD_SIZE_LIMIT
     line = "X;" + "1" * (limit - 2)
-    assert dataset._split_cells(f"name;a\n{line}\n", ";") is not None
-    assert dataset._split_cells(f"name;a\n{line}1\n", ";") is None
+    assert dataset._split_cells(f"name;a\n{line}\n", ";", True) is not None
+    assert dataset._split_cells(f"name;a\n{line}1\n", ";", True) is None
 
 
 class OneShot(list):
@@ -745,9 +745,11 @@ def test_valid_input_takes_no_row_walk(monkeypatch):
         raise AssertionError("row walk taken")
 
     km = builtin_table("km")
-    monkeypatch.setattr(dataset, "_walked_rows", walk)
     monkeypatch.setattr(dataset, "_walked_fields", walk)
-    assert parse_table(serialize_table(km), unit=Unit.KILOMETERS) == km
+    with mock.patch.object(dataset, "_walked_rows", walk):
+        assert parse_table(serialize_table(km), unit=Unit.KILOMETERS) == km
+    # quoted cells and blank lines take the record walk, whose valid rows
+    # pass the column check without a row walk
     text = "nombre;a;b\n\n x ;1,5; 2,25 \n  ;  \nY;\"3,5\";4\n"
     assert parse_table(text, unit=Unit.HOURS).value_columns == ((1.5, 3.5), (2.25, 4.0))
 
@@ -765,9 +767,9 @@ def test_the_column_fold_matches_the_oracle_on_every_bmp_code_point(monkeypatch)
     def walk(*args):
         raise AssertionError("row walk taken")
 
-    # parse_table's column path only: the row walks, which fold one name at
-    # a time, would hide an error of the column fold
-    monkeypatch.setattr(dataset, "_walked_rows", walk)
+    # parse_table's column check only: the row walk, which folds one name at
+    # a time, would hide an error of the column fold; the quoted names reach
+    # that check through the record walk
     monkeypatch.setattr(dataset, "_walked_fields", walk)
     # '<n>-' keeps each key unique and each name non-blank; NUL cannot pass
     # through the csv reader of every supported Python
