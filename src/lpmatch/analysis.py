@@ -16,12 +16,12 @@ and they are re-sorted by (distance, L2, name) in place.  That hides no
 overflow: differences are >= 0, so a row's L2 is at most sqrt(R) times its
 largest difference, which is at most any of its Lp distances.  While sqrt(R)
 times the largest distance stays below half the largest double no L2 can
-overflow; beyond that every row's L2 is computed as before.  So rankings,
-tie order and errors are the ones a full L2 pass gives.  ``gap_report`` and
-the paper grid's ``sweep`` (see ``paper``) rank a family of metrics from one
-set of differences, with the L2 ranking's distances as the other metrics'
-tie-breaks.  A distance or
-relative error that is not a finite double raises InvalidValue.
+overflow; beyond that every row's L2 is computed once, as a check.  So
+rankings, tie order and errors are the ones a full L2 pass gives.
+``gap_report`` and the paper grid's ``sweep`` (see ``paper``) rank a family
+of metrics from one set of differences, each metric breaking its own ties in
+the same way.  A distance or relative error that is not a finite double
+raises InvalidValue.
 """
 
 from __future__ import annotations
@@ -139,11 +139,10 @@ def _rankings(
     """The ranking of ``table`` under each of ``metrics``, in that order.
 
     The |column - goal| differences are built once and shared by every
-    metric.  The L2 values that break distance ties are computed for every
-    row only when some metric is L2 itself or when the overflow bound below
-    does not hold; otherwise only for the rows whose distance is tied.  The
-    InvalidValue of an overflow names the metric that ``rank_candidates``
-    would name for the first of ``metrics`` to meet one.
+    metric.  Each ranking sorts the rows on their distances, then re-sorts
+    the rows whose distance is tied by (distance, L2, name), with the L2 of
+    those rows only.  The InvalidValue of an overflow names the metric that
+    ``rank_candidates`` would name for the first of ``metrics`` to meet one.
     """
     if target.unit is not table.unit:
         raise InvalidValue(
@@ -153,64 +152,52 @@ def _rankings(
     # a comprehension, which CPython 3.11 specializes for floats, builds
     # these about twice as fast as map(abs, map(sub, column, repeat(g)))
     diffs = [[abs(v - g) for v in column] for column, g in zip(table.value_columns, goal)]
-    l2 = _checked_norms(_L2, diffs, metrics[0]) if _L2 in metrics else None
+    names = table.candidates
     rankings = {}
     for metric in metrics:
-        distances = l2 if metric == _L2 else _checked_norms(metric, diffs, metric)
-        # every Lp distance of a row, L_inf included, is at least its largest
-        # difference, and its L2 at most sqrt(R) times that
-        if l2 is None and max(distances) * math.sqrt(len(diffs)) >= _L2_SAFE:
-            l2 = _checked_norms(_L2, diffs, metric)
-        rankings[metric] = _ranked(distances, l2, diffs, table.candidates)
+        distances = _checked_norms(metric, diffs)
+        order = sorted(range(len(distances)), key=distances.__getitem__)  # float keys, stable
+        ordered = list(map(distances.__getitem__, order))
+        tied = list(compress(count(), map(eq, ordered, islice(ordered, 1, None))))
+        if tied:
+            # the positions in ``order`` of every row whose distance equals a
+            # neighbour's, ascending; re-sorting those rows by (distance, L2,
+            # name) orders each run of equal distances within its own positions
+            positions = sorted({*tied, *(position + 1 for position in tied)})
+            rows = list(map(order.__getitem__, positions))
+            pick = itemgetter(*rows)  # at least two rows, so it returns a tuple
+            l2 = _norms(_L2, [pick(column) for column in diffs])
+            keyed = sorted(zip(map(ordered.__getitem__, positions), l2,
+                               map(names.__getitem__, rows), rows))
+            for position, (_, _, _, row) in zip(positions, keyed):
+                order[position] = row
+        # tuple.__new__ builds each entry as RankingEntry(name, distance, rank)
+        # would, without a Python-level __new__ call per candidate
+        fields = zip(map(names.__getitem__, order), ordered, count(1))
+        rankings[metric] = list(map(tuple.__new__, repeat(RankingEntry), fields))
     return rankings
 
 
-def _checked_norms(
-    spec: MetricSpec, diffs: list[list[float]], metric: MetricSpec
-) -> list[float]:
-    """``_norms(spec, diffs)`` for a ranking under ``metric``.
+def _checked_norms(metric: MetricSpec, diffs: list[list[float]]) -> list[float]:
+    """``_norms(metric, diffs)``, raising InvalidValue also when some row's
+    L2 tie-break would overflow.
 
-    When a norm overflows, the InvalidValue raised names the metric that a
-    row-by-row walk meets first, checking each row's ``metric`` distance
-    before its L2 tie-break, whichever pass found the overflow.
+    The InvalidValue names the metric that a row-by-row walk meets first,
+    checking each row's ``metric`` distance before its L2 tie-break,
+    whichever pass found the overflow.
     """
     try:
-        return _norms(spec, diffs)
+        distances = _norms(metric, diffs)
+        # every Lp distance of a row, L_inf included, is at least its largest
+        # difference, and its L2 at most sqrt(R) times that
+        if max(distances) * math.sqrt(len(diffs)) >= _L2_SAFE:
+            _norms(_L2, diffs)
     except InvalidValue:
         for row in zip(*diffs):
             _norm(metric, row)
             _norm(_L2, row)
         raise
-
-
-def _ranked(
-    distances: list[float], l2: list[float] | None, diffs: list[list[float]],
-    names: tuple[str, ...],
-) -> list[RankingEntry]:
-    """Rows ordered by (distance, L2, name); ``l2`` is None when only tied
-    rows may have their L2 computed."""
-    order = sorted(range(len(distances)), key=distances.__getitem__)  # float keys, stable
-    ordered = list(map(distances.__getitem__, order))
-    tied = list(compress(count(), map(eq, ordered, islice(ordered, 1, None))))
-    if tied:
-        # the positions in ``order`` of every row whose distance equals a
-        # neighbour's, ascending; re-sorting those rows by (distance, L2,
-        # name) orders each run of equal distances within its own positions
-        positions = sorted({*tied, *(position + 1 for position in tied)})
-        rows = list(map(order.__getitem__, positions))
-        if l2 is None:
-            pick = itemgetter(*rows)  # at least two rows, so it returns a tuple
-            ties = _norms(_L2, [pick(column) for column in diffs])
-        else:
-            ties = map(l2.__getitem__, rows)
-        keyed = sorted(zip(map(ordered.__getitem__, positions), ties,
-                           map(names.__getitem__, rows), rows))
-        for position, (_, _, _, row) in zip(positions, keyed):
-            order[position] = row
-    # tuple.__new__ builds each entry as RankingEntry(name, distance, rank)
-    # would, without a Python-level __new__ call per candidate
-    fields = zip(map(names.__getitem__, order), ordered, count(1))
-    return list(map(tuple.__new__, repeat(RankingEntry), fields))
+    return distances
 
 
 def top_k(ranking: Sequence[RankingEntry], k: int = 5) -> list[RankingEntry]:

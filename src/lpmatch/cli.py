@@ -251,15 +251,9 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         output = handlers[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, LpmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LpmatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
     sys.stdout.write(output)
     return 0
 

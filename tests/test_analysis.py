@@ -223,7 +223,8 @@ class TestTieBreakOverflow:
         with pytest.raises(InvalidValue, match=f"^the {named} distance exceeds the largest"):
             sweep((CLASSIC_SOLUTION,), (Unit.KILOMETERS,), (REFERENCES,), (metric,), rates=rates)
 
-    @pytest.mark.parametrize("metric", [LINF, L1, MetricSpec.ln(3)], ids=["linf", "l1", "l3"])
+    @pytest.mark.parametrize("metric", [LINF, L1, MetricSpec.ln(3), None],
+                             ids=["linf", "l1", "l3", "gap_report"])
     def test_only_tied_rows_get_an_l2_below_the_bound(self, metric, monkeypatch):
         big = DBL_MAX / 20  # sqrt(4) * every distance stays below DBL_MAX / 2
         table = four_column_table((big, big, 1.0, 1.0), (1.0, big, big, big), (big,) * 4,
@@ -236,6 +237,15 @@ class TestTieBreakOverflow:
 
         norms = analysis._norms
         monkeypatch.setattr(analysis, "_norms", recorded)
+        if metric is None:
+            # a family ranks L_inf, L_1 and L_2 in turn, each breaking its
+            # own ties; the target is off zero so that it has a magnitude
+            target = Profile(FOUR, (1.0,) * 4, Unit.KILOMETERS)
+            records = gap_report(table, target).records
+            assert reduced == [("linf", 5), ("l2", 5), ("l1", 5), ("l2", 2),
+                               ("l2", 5), ("l2", 2)]
+            assert [(r.first, r.second) for r in records] == [("R3", "R4")] * 3
+            return
         names = [name for name, _ in ranked(table, metric)]
         tied = {"linf": 5, "l1": 2, "l3": 2}[metric.token]  # R0-R2 tie under L_inf
         assert reduced == [(metric.token, 5), ("l2", tied)]
@@ -382,7 +392,8 @@ class TestSweep:
         assert all(r.ranking[0].candidate == "Villanueva de los Infantes" for r in refined)
 
     def test_ranks_and_scales_each_family_metric_once(self, monkeypatch):
-        calls = {"rank": 0, "reduce": 0, "magnitude": 0}
+        calls = {"rank": 0, "magnitude": 0}
+        reduced = []  # the number of rows of each reduction
 
         def counted(name, fn):
             def wrapper(*args):
@@ -390,14 +401,21 @@ class TestSweep:
                 return fn(*args)
             return wrapper
 
-        # one ranking pass per family, one reduction per family metric (the
-        # L2 ranking's distances are the L_inf and L_1 tie-breaks), one
-        # relative-error scale per family metric
+        def recorded(spec, columns):
+            reduced.append(len(columns[0]))
+            return norms(spec, columns)
+
+        # one ranking pass per family, one full-table reduction and one
+        # relative-error scale per family metric; the L2 tie-break reduces
+        # only tied rows, and the grid has two runs of two tied rows
+        norms = analysis._norms
         monkeypatch.setattr(analysis, "_rankings", counted("rank", analysis._rankings))
-        monkeypatch.setattr(analysis, "_norms", counted("reduce", analysis._norms))
+        monkeypatch.setattr(analysis, "_norms", recorded)
         monkeypatch.setattr(analysis, "magnitude", counted("magnitude", analysis.magnitude))
         run_builtin_grid()
-        assert calls == {"rank": 8, "reduce": 24, "magnitude": 24}
+        assert calls == {"rank": 8, "magnitude": 24}
+        assert reduced.count(len(KM)) == 24
+        assert sorted(rows for rows in reduced if rows != len(KM)) == [2, 2]
 
     def test_gaps_are_shared_with_a_standalone_gap_report(self):
         results = sweep((REFINED_SOLUTION,), (Unit.HOURS,), (REFERENCES[:3],), (MetricSpec.ln(3),))

@@ -109,6 +109,16 @@ class TestUsageErrors:
         assert "error: argument --metric: unknown metric" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("token, message", [
+        ("0", "'0' must be >= 1"),
+        ("x", "'x' is not an integer"),
+    ])
+    def test_top_must_be_a_positive_integer(self, capsys, token, message):
+        with pytest.raises(SystemExit) as info:
+            run(["rank", "--top", token])
+        assert info.value.code == 2
+        assert f"error: argument --top: {message}\n" in capsys.readouterr().err
+
     def test_unknown_exclude_reference(self, capsys):
         code, _, err = invoke(capsys, "rank", "--exclude", "El Dorado")
         assert code == 2

@@ -291,6 +291,10 @@ class TestColumnStorage:
         assert self.TABLE == DistanceTable(Unit.KILOMETERS, ("A", "B", "C"),
                                            [("x", (1, 2, 3)), ("y", (4, 5, 6))])
 
+    def test_a_table_never_equals_a_non_table(self):
+        assert self.TABLE.__eq__(self.TABLE.value_rows) is NotImplemented
+        assert self.TABLE != self.TABLE.value_rows
+
 
 class TestDistanceTableValidation:
     def test_wrong_arity(self):

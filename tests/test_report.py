@@ -270,6 +270,14 @@ class TestSummaryTable:
         assert facts["family with the smallest relative errors"].startswith("refined")
         assert facts["km and hours runs agree on every top-5 name set"] == "yes"
 
+    def test_lists_the_pairs_whose_units_disagree(self, grid):
+        summary = summarize_conclusions(grid)._replace(
+            unit_pairs_agree=False, disagreeing_pairs=(("classic", 4, "l1"),))
+        assert build_summary_table(summary).rows[-2:] == (
+            ("km and hours runs agree on every top-5 name set", "no"),
+            ("top-5 name sets differ between units", "classic 4-ref l1"),
+        )
+
 
 EXPECTED_FILES = (
     ["table_01", "table_05"]
