@@ -111,7 +111,7 @@ def target_profile(
     rates: ConversionRates = DEFAULT_RATES,
 ) -> Profile:
     """The solution restricted to ``references`` and converted to ``unit``."""
-    return convert(solution.jornadas.select(tuple(references)), unit, rates)
+    return convert(solution.jornadas.select(references), unit, rates)
 
 
 def rank_candidates(

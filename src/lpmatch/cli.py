@@ -197,10 +197,10 @@ def _cmd_rank(args: argparse.Namespace) -> str:
     table, solution, target = _prepare(args)
     ranking = analysis.rank_candidates(table, target, args.metric)
     doc = report.build_ranking_table(
-        table, target, ranking, args.metric, k=args.top, fmt=args.format,
+        table, target, ranking, args.metric, k=args.top,
         title=report.ranking_title(args.metric, solution, table),
     )
-    return doc.text()
+    return doc.text(args.format)
 
 
 def _cmd_errors(args: argparse.Namespace) -> str:
@@ -208,10 +208,8 @@ def _cmd_errors(args: argparse.Namespace) -> str:
     ranking = analysis.rank_candidates(table, target, args.metric)
     title = (f"Relative errors under {args.metric.label} against the "
              f"{solution.label} target ({table.unit.short})")
-    doc = report.build_error_listing(
-        target, ranking, args.metric, k=args.top, fmt=args.format, title=title
-    )
-    return doc.text()
+    doc = report.build_error_listing(target, ranking, args.metric, k=args.top, title=title)
+    return doc.text(args.format)
 
 
 def _cmd_gaps(args: argparse.Namespace) -> str:
@@ -219,17 +217,17 @@ def _cmd_gaps(args: argparse.Namespace) -> str:
     gaps = analysis.gap_report(table, target)
     title = (f"Gap between the two closest candidates: {solution.label} target "
              f"({table.unit.short}, {len(table.references)} references)")
-    return report.build_gap_listing(gaps, fmt=args.format, title=title).text()
+    return report.build_gap_listing(gaps, title=title).text(args.format)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
     from . import paper
 
-    documents = paper.build_document_set(paper.run_builtin_grid(), args.format)
+    documents = paper.build_document_set(paper.run_builtin_grid())
     # markdown documents read better separated by a blank line; csv and jsonl
     # must stay gap-free streams
     separator = "\n" if args.format == "md" else ""
-    return separator.join(doc.text() for doc in documents.values())
+    return separator.join(doc.text(args.format) for doc in documents.values())
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> str:

@@ -264,6 +264,7 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
 
     def select(self, names: Sequence[str]) -> "Profile":
         """Profile restricted to ``names`` (matched by folded key), in that order."""
+        names = _coerce(tuple, names, "selected references must be an iterable of names")
         by_key = {fold_name(n): v for n, v in self.items()}
         values = []
         for name in names:
@@ -271,7 +272,7 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
             if key not in by_key:
                 raise InvalidValue(f"profile has no reference named {name!r}")
             values.append(by_key[key])
-        return Profile(tuple(names), tuple(values), self.unit)
+        return Profile(names, tuple(values), self.unit)
 
     def aligned_values(self, keys: Sequence[str]) -> tuple[float, ...]:
         """Values in the order of the folded reference ``keys``.

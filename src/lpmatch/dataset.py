@@ -63,37 +63,6 @@ __all__ = [
 
 REFERENCES = ("Venta de Cárdenas", "Puerto Lápice", "El Toboso", "Munera")
 
-_LOCALITIES = (
-    "Albaladejo",
-    "Alcubillas",
-    "Alhambra",
-    "Almedina",
-    "Cañamares",
-    "Carrizosa",
-    "Castellar de Santiago",
-    "Cózar",
-    "Fuenllana",
-    "Membrilla",
-    "Montiel",
-    "Ossa de Montiel",
-    "Puebla del Príncipe",
-    "Ruidera",
-    "Sta. Cruz de Cañamos",
-    "La Solana",
-    "Terrinches",
-    "Torre de Juan Abad",
-    "Torres de Montiel",
-    "Torrenueva",
-    "Villahermosa",
-    "Villamanrique",
-    "Villanueva de la Fuente",
-    "Villanueva de los Infantes",
-)
-
-# folded key (of an alternate spelling too) -> canonical name
-_CANONICAL = {fold_name(name): name for name in _LOCALITIES + REFERENCES}
-
-
 def _named(raw: str) -> tuple[str, str]:
     """``normalize_name(raw)`` and its ``fold_name`` key, from one fold."""
     cleaned = " ".join(_coerce(str.split, raw, "a name must be a string"))
@@ -330,6 +299,11 @@ _HOURS_ROWS = (
     ("Villanueva de los Infantes", (21.37, 23.06, 28.08, 19.68)),
 )
 
+# folded key (of an alternate spelling too) -> canonical name; the hours
+# rows hold the canonical spellings, the km rows one alternate verbatim
+_CANONICAL = {fold_name(name): name
+              for name in tuple(name for name, _ in _HOURS_ROWS) + REFERENCES}
+
 
 @lru_cache(maxsize=None)
 def _builtin(unit: Unit) -> DistanceTable:
@@ -492,6 +466,7 @@ def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:
 
 def subset_references(table: DistanceTable, keep: Sequence[str]) -> DistanceTable:
     """Restrict a table to the given reference columns, keeping table order."""
+    keep = _coerce(tuple, keep or (), "references to keep must be an iterable of names")
     if not keep:
         raise InvalidValue("must keep at least one reference")
     available = set(table._keys)

@@ -4,10 +4,10 @@ The grid ranks the 24 built-in localities against the classic and refined
 solutions, in kilometers and in hours, over all four references and over
 the three without Munera, under L_inf, L_1 and L_2.  ``sweep`` evaluates a
 cross-product of configurations on the built-in tables,
-``summarize_conclusions`` condenses it into headline facts, and
-``build_document_set`` and ``write_document_set`` render and write the
-numbered documents, next to the comparison rows of earlier published
-analyses (``EXTERNAL_ERROR_ROWS``).
+``summarize_conclusions`` condenses it into headline facts,
+``build_document_set`` builds the numbered documents, next to the
+comparison rows of earlier published analyses (``EXTERNAL_ERROR_ROWS``),
+and ``write_document_set`` renders them in one format and writes them.
 
 Nothing in the ranking library imports this module.  ``lpmatch`` resolves its
 names on first use, and the CLI imports it in ``sweep`` and ``reproduce``
@@ -160,8 +160,11 @@ def summarize_conclusions(results: Mapping[Configuration, SweepResult]) -> GridS
 
     The unit-agreement check compares the top-5 candidate NAME SETS of the
     kilometers run and the hours run of each (solution, subset, metric)
-    combination; the two units may order near-ties differently.
+    combination; the two units may order near-ties differently.  Raises
+    InvalidValue when ``results`` is empty.
     """
+    if not results:
+        raise InvalidValue("there are no results to summarize")
     top = tuple((config, result.ranking[0].candidate) for config, result in results.items())
 
     family_rows: dict[tuple[str, str, int], list[tuple[Configuration, SweepResult]]] = {}
@@ -239,10 +242,7 @@ EXTERNAL_ERROR_ROWS = (
 )
 
 
-def build_error_table(
-    results: Mapping[Configuration, SweepResult],
-    fmt: str = "md",
-) -> RenderedTable:
+def build_error_table(results: Mapping[Configuration, SweepResult]) -> RenderedTable:
     """Three closest candidates with relative errors, one row per configuration.
 
     External rows (earlier published analyses) are listed first, verbatim.
@@ -270,14 +270,10 @@ def build_error_table(
         "Relative error (%) of the three closest candidates per configuration",
         header,
         tuple(rows),
-        fmt,
     )
 
 
-def build_gap_table(
-    results: Mapping[Configuration, SweepResult],
-    fmt: str = "md",
-) -> RenderedTable:
+def build_gap_table(results: Mapping[Configuration, SweepResult]) -> RenderedTable:
     """Second-minus-first relative-error gap rows with per-family means."""
     header = ("configuration", "second minus first (%)", "family mean (%)")
     rows: list[tuple[str, ...]] = []
@@ -305,11 +301,10 @@ def build_gap_table(
         "Gap between the second and the first candidate per configuration",
         header,
         tuple(rows),
-        fmt,
     )
 
 
-def build_summary_table(summary: GridSummary, fmt: str = "md") -> RenderedTable:
+def build_summary_table(summary: GridSummary) -> RenderedTable:
     """Headline facts of a grid sweep as fact/value rows."""
     rows: list[tuple[str, str]] = []
     for config, name in summary.top_candidates:
@@ -329,7 +324,7 @@ def build_summary_table(summary: GridSummary, fmt: str = "md") -> RenderedTable:
     for solution, nrefs, metric in summary.disagreeing_pairs:
         rows.append(("top-5 name sets differ between units",
                      f"{solution} {nrefs}-ref {metric}"))
-    return RenderedTable("Analysis summary", ("fact", "value"), tuple(rows), fmt)
+    return RenderedTable("Analysis summary", ("fact", "value"), tuple(rows))
 
 
 # Document numbers of the ranking tables in grid order; numbers 1 and 5 hold
@@ -337,9 +332,7 @@ def build_summary_table(summary: GridSummary, fmt: str = "md") -> RenderedTable:
 _RANKING_DOC_NUMBERS = tuple(n for n in range(2, 27) if n != 5)
 
 
-def build_document_set(
-    results: Mapping[Configuration, SweepResult], fmt: str = "md"
-) -> dict[str, RenderedTable]:
+def build_document_set(results: Mapping[Configuration, SweepResult]) -> dict[str, RenderedTable]:
     """The result documents of the full built-in grid, keyed by file stem.
 
     In table order: the 24 ranking documents at their conventional numbers
@@ -354,14 +347,14 @@ def build_document_set(
         )
     documents = {
         f"table_{number:02d}": build_ranking_table(
-            result.table, result.target, result.ranking, config.metric, k=5, fmt=fmt,
+            result.table, result.target, result.ranking, config.metric, k=5,
             title=ranking_title(config.metric, config.solution, result.table),
         )
         for number, (config, result) in zip(_RANKING_DOC_NUMBERS, results.items())
     }
-    documents["table_27"] = build_error_table(results, fmt)
-    documents["table_28"] = build_gap_table(results, fmt)
-    documents["summary"] = build_summary_table(summarize_conclusions(results), fmt)
+    documents["table_27"] = build_error_table(results)
+    documents["table_28"] = build_gap_table(results)
+    documents["summary"] = build_summary_table(summarize_conclusions(results))
     return documents
 
 
@@ -373,24 +366,27 @@ def write_document_set(
     """Write the complete built-in analysis to ``outdir``; byte-stable.
 
     Emits the two dataset documents (table_01, table_05) and the result
-    documents of ``build_document_set``.  Returns the written paths, as
-    ``pathlib.Path`` objects, in name order.
+    documents of ``build_document_set``, each rendered in ``fmt``.  Every
+    document is rendered before ``outdir`` is created, so an unknown format
+    raises InvalidValue before anything is written.  Returns the written
+    paths, as ``pathlib.Path`` objects, in name order.
     """
     from pathlib import Path
 
-    documents = build_document_set(run_builtin_grid(rates), fmt)
+    documents = build_document_set(run_builtin_grid(rates))
     documents["table_01"] = build_dataset_table(
-        builtin_table(Unit.KILOMETERS), "Candidate distances in kilometers", fmt
+        builtin_table(Unit.KILOMETERS), "Candidate distances in kilometers"
     )
     documents["table_05"] = build_dataset_table(
-        builtin_table(Unit.HOURS), "Candidate distances in hours", fmt
+        builtin_table(Unit.HOURS), "Candidate distances in hours"
     )
+    texts = [(stem, documents[stem].text(fmt)) for stem in sorted(documents)]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for stem in sorted(documents):
+    for stem, text in texts:
         path = outdir / f"{stem}.{fmt}"
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(documents[stem].text())
+            handle.write(text)
         written.append(path)
     return written

@@ -1,7 +1,8 @@
 """Document rendering: ranking tables, error listings and gap listings.
 
-Every document is a RenderedTable that can be emitted as markdown, as
-delimiter-separated text or as a stream of JSON records.  Numeric cells are
+Every document is a RenderedTable of already-formatted cells, and its
+``text`` method is the one place an output format is chosen: markdown,
+delimiter-separated text or a stream of JSON records.  Numeric cells are
 formatted at two decimals with dot decimal separators, rounding ties away
 from zero; all underlying computation stays at full precision.  The paper
 grid's documents are built from these in ``paper``.
@@ -65,15 +66,12 @@ def format_2dp(x: float) -> str:
     return str(decimal(repr(value)).quantize(cent, context=context))
 
 
-class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows fmt",
-                                         defaults=("md",))):
-    """A titled table of already-formatted cells plus its output format."""
+class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows")):
+    """A titled table of already-formatted cells."""
 
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        if self.fmt not in FORMATS:
-            raise InvalidValue(f"unknown format {_shown(self.fmt)}")
         if not isinstance(self.title, str):
             raise InvalidValue(f"a document title must be a string, got {_shown(self.title)}")
         for row in self.rows:
@@ -83,12 +81,15 @@ class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows fmt
             if not isinstance(cell, str):
                 raise InvalidValue(f"a document cell must be a string, got {_shown(cell)}")
 
-    def text(self) -> str:
-        if self.fmt == "md":
+    def text(self, fmt: str = "md") -> str:
+        """The table in ``fmt``, one of FORMATS; raises InvalidValue otherwise."""
+        if fmt == "md":
             return self._markdown()
-        if self.fmt == "csv":
+        if fmt == "csv":
             return self._delimited()
-        return self._records()
+        if fmt == "jsonl":
+            return self._records()
+        raise InvalidValue(f"unknown format {_shown(fmt)}")
 
     def _markdown(self) -> str:
         lines = [f"# {self.title}", ""]
@@ -128,13 +129,13 @@ class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows fmt
         return "\n".join(lines) + "\n"
 
 
-def build_dataset_table(table: DistanceTable, title: str, fmt: str = "md") -> RenderedTable:
+def build_dataset_table(table: DistanceTable, title: str) -> RenderedTable:
     header = ("locality",) + tuple(f"{r} ({table.unit.short})" for r in table.references)
     rows = tuple(
         (name,) + tuple(format_2dp(v) for v in values)
         for name, values in zip(table.candidates, table.value_rows)
     )
-    return RenderedTable(title, header, rows, fmt)
+    return RenderedTable(title, header, rows)
 
 
 def ranking_title(metric: MetricSpec, solution: SolutionProfile, table: DistanceTable) -> str:
@@ -149,7 +150,6 @@ def build_ranking_table(
     ranking: Sequence[RankingEntry],
     metric: MetricSpec,
     k: int = 5,
-    fmt: str = "md",
     *,
     title: str,
 ) -> RenderedTable:
@@ -168,7 +168,7 @@ def build_ranking_table(
             + tuple(format_2dp(v) for v in values)
             + (format_2dp(entry.distance),)
         )
-    return RenderedTable(title, header, tuple(rows), fmt)
+    return RenderedTable(title, header, tuple(rows))
 
 
 def build_error_listing(
@@ -176,7 +176,6 @@ def build_error_listing(
     ranking: Sequence[RankingEntry],
     metric: MetricSpec,
     k: int = 3,
-    fmt: str = "md",
     *,
     title: str,
 ) -> RenderedTable:
@@ -191,10 +190,10 @@ def build_error_listing(
         )
         for entry in top_k(ranking, k)
     )
-    return RenderedTable(title, header, rows, fmt)
+    return RenderedTable(title, header, rows)
 
 
-def build_gap_listing(gaps: GapReport, fmt: str = "md", *, title: str) -> RenderedTable:
+def build_gap_listing(gaps: GapReport, *, title: str) -> RenderedTable:
     """One family's per-metric top-two gap rows plus the mean row."""
     header = ("metric", "first", "error 1 (%)", "second", "error 2 (%)", "gap (%)")
     rows = [
@@ -209,4 +208,4 @@ def build_gap_listing(gaps: GapReport, fmt: str = "md", *, title: str) -> Render
         for record in gaps.records
     ]
     rows.append(("mean", "", "", "", "", format_2dp(gaps.mean_gap)))
-    return RenderedTable(title, header, tuple(rows), fmt)
+    return RenderedTable(title, header, tuple(rows))

@@ -469,6 +469,11 @@ class TestSummarizeConclusions:
     def test_eight_families(self, summary):
         assert len(summary.families) == 8
 
+    def test_no_results_raise_invalid_value(self):
+        for results in ({}, sweep((), (), (), ())):
+            with pytest.raises(InvalidValue, match=r"^there are no results to summarize$"):
+                summarize_conclusions(results)
+
 
 class RecordCase(NamedTuple):
     cls: type
@@ -590,14 +595,19 @@ RECORD_CASES = [
     ),
     RecordCase(
         RenderedTable,
-        {"title": "T", "header": ("a", "b"), "rows": (("1", "2"),), "fmt": "csv"},
-        "RenderedTable(title='T', header=('a', 'b'), rows=(('1', '2'),), fmt='csv')",
-        defaults={"fmt": "md"},
-        invalid=(({"fmt": "xml"}, InvalidValue, r"^unknown format 'xml'$"),
-                 ({"rows": (("1",),)}, InvalidValue,
-                  r"^every row must match the header arity$")),
+        {"title": "T", "header": ("a", "b"), "rows": (("1", "2"),)},
+        "RenderedTable(title='T', header=('a', 'b'), rows=(('1', '2'),))",
+        invalid=(({"rows": (("1",),)}, InvalidValue,
+                  r"^every row must match the header arity$"),),
     ),
 ]
+
+
+def test_a_rendered_table_has_no_format_and_refuses_an_unknown_one():
+    table = RenderedTable("T", ("a", "b"), (("1", "2"),))
+    assert RenderedTable._fields == ("title", "header", "rows")
+    with pytest.raises(InvalidValue, match=r"^unknown format 'xml'$"):
+        table.text("xml")
 
 
 def _case_id(case):

@@ -102,8 +102,11 @@ class TestProfile:
         if text in ("1_0", "١٢"):
             assert expected == "invalid"
 
-    def test_select_matches_by_folded_name_in_given_order(self):
-        sub = TARGET_KM.select(("munera", "EL TOBOSO"))
+    @pytest.mark.parametrize("names", [("munera", "EL TOBOSO"),
+                                       (n for n in ["munera", "EL TOBOSO"])],
+                             ids=["tuple", "generator"])
+    def test_select_matches_by_folded_name_in_given_order(self, names):
+        sub = TARGET_KM.select(names)
         assert sub.names == ("munera", "EL TOBOSO")
         assert sub.values == (62.0, 77.5)
 

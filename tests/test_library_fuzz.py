@@ -124,17 +124,17 @@ CALLS = {
     "relative_error_percent": lambda d: relative_error_percent(d(MIXED), TARGET, MetricSpec(2)),
     "format_2dp": lambda d: format_2dp(d(MIXED)),
     "RenderedTable": lambda d: RenderedTable(
-        d(MIXED), ("a", d(MIXED)), (("x", d(MIXED)),), d(st.one_of(FORMATS, MIXED))).text(),
+        d(MIXED), ("a", d(MIXED)), (("x", d(MIXED)),)).text(d(st.one_of(FORMATS, MIXED))),
     "build_dataset_table": lambda d: build_dataset_table(
-        TABLE, d(MIXED), d(st.one_of(FORMATS, MIXED))).text(),
+        TABLE, d(MIXED)).text(d(st.one_of(FORMATS, MIXED))),
     "build_ranking_table": lambda d: build_ranking_table(
-        TABLE, TARGET, RANKING, MetricSpec(1), d(MIXED), d(st.one_of(FORMATS, MIXED)),
-        title=d(MIXED)).text(),
+        TABLE, TARGET, RANKING, MetricSpec(1), d(MIXED),
+        title=d(MIXED)).text(d(st.one_of(FORMATS, MIXED))),
     "build_error_listing": lambda d: build_error_listing(
-        TARGET, RANKING, MetricSpec(1), d(MIXED), d(st.one_of(FORMATS, MIXED)),
-        title=d(MIXED)).text(),
+        TARGET, RANKING, MetricSpec(1), d(MIXED),
+        title=d(MIXED)).text(d(st.one_of(FORMATS, MIXED))),
     "build_gap_listing": lambda d: build_gap_listing(
-        GAPS, d(st.one_of(FORMATS, MIXED)), title=d(MIXED)).text(),
+        GAPS, title=d(MIXED)).text(d(st.one_of(FORMATS, MIXED))),
 }
 
 
@@ -160,6 +160,8 @@ STRUCTURAL = {
         d(st.one_of(SHAPES, st.just(MetricSpec(1))))),
     "gap_report": lambda d: gap_report(
         d(st.one_of(SHAPES, st.just(TABLE))), d(st.one_of(SHAPES, st.just(TARGET)))),
+    "subset_references": lambda d: subset_references(TABLE, d(SHAPES)),
+    "target_profile": lambda d: target_profile(CLASSIC_SOLUTION, Unit.HOURS, d(SHAPES)),
 }
 
 
@@ -204,6 +206,12 @@ KM = Unit.KILOMETERS
     (lambda: rank_candidates(TABLE, TARGET, None), r"^metric must be a MetricSpec, got None$"),
     (lambda: rank_candidates(TABLE, None, MetricSpec(1)), r"^target must be a Profile, got None$"),
     (lambda: gap_report("t", TARGET), r"^table must be a DistanceTable, got 't'$"),
+    (lambda: subset_references(TABLE, 1.5),
+     r"^references to keep must be an iterable of names, got 1\.5$"),
+    (lambda: subset_references(TABLE, None), r"^must keep at least one reference$"),
+    (lambda: subset_references(TABLE, iter(())), r"^must keep at least one reference$"),
+    (lambda: target_profile(CLASSIC_SOLUTION, Unit.HOURS, 7),
+     r"^selected references must be an iterable of names, got 7$"),
 ])
 def test_wrong_types_raise_invalid_value_naming_the_field(call, message):
     with pytest.raises(InvalidValue, match=message):

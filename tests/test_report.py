@@ -124,24 +124,25 @@ class TestRenderedTable:
             RenderedTable("t", ("a", "b"), (("only",),))
 
     def test_unknown_format(self):
-        with pytest.raises(InvalidValue):
-            RenderedTable("t", ("a",), (), fmt="xml")
+        with pytest.raises(InvalidValue, match=r"^unknown format 'xml'$"):
+            RenderedTable("t", ("a",), ()).text("xml")
 
     def test_markdown_layout(self):
-        table = RenderedTable("Title", ("a", "b"), (("1", "2"),), fmt="md")
-        lines = table.text().splitlines()
+        table = RenderedTable("Title", ("a", "b"), (("1", "2"),))
+        lines = table.text("md").splitlines()
+        assert table.text() == table.text("md")
         assert lines[0] == "# Title"
         assert lines[2] == "| a | b |"
         assert lines[4] == "| 1 | 2 |"
 
     def test_csv_layout(self):
-        table = RenderedTable("Title", ("a", "b"), (("x", "1.50"),), fmt="csv")
-        rows = list(csv.reader(io.StringIO(table.text())))
+        table = RenderedTable("Title", ("a", "b"), (("x", "1.50"),))
+        rows = list(csv.reader(io.StringIO(table.text("csv"))))
         assert rows == [["a", "b"], ["x", "1.50"]]
 
     def test_jsonl_records(self):
-        table = RenderedTable("Title", ("name", "value"), (("x", "1.50"),), fmt="jsonl")
-        meta, record = [json.loads(line) for line in table.text().splitlines()]
+        table = RenderedTable("Title", ("name", "value"), (("x", "1.50"),))
+        meta, record = [json.loads(line) for line in table.text("jsonl").splitlines()]
         assert meta == {"title": "Title", "columns": ["name", "value"]}
         assert record == {"name": "x", "value": 1.5}
 
@@ -151,8 +152,8 @@ class TestRenderedTable:
         (" 1", " 1"), ("1.", "1."), (".5", ".5"), ("+1", "+1"), ("\u0661", "\u0661"),
     ])
     def test_jsonl_numbers_only_for_plain_decimal_literals(self, cell, value):
-        table = RenderedTable("Title", ("cell",), ((cell,),), fmt="jsonl")
-        record = json.loads(table.text().splitlines()[1])
+        table = RenderedTable("Title", ("cell",), ((cell,),))
+        record = json.loads(table.text("jsonl").splitlines()[1])
         assert record == {"cell": value}
         assert type(record["cell"]) is type(value)
 
@@ -208,9 +209,9 @@ class TestRankingTable:
         target = target_profile(CLASSIC_SOLUTION, Unit.KILOMETERS)
         metric = MetricSpec.ln(1)
         doc = build_ranking_table(
-            km, target, rank_candidates(km, target, metric), metric, fmt="csv", title="T"
+            km, target, rank_candidates(km, target, metric), metric, title="T"
         )
-        rows = list(csv.reader(io.StringIO(doc.text())))
+        rows = list(csv.reader(io.StringIO(doc.text("csv"))))
         parsed = {row[0]: [float(cell) for cell in row[1:]] for row in rows[1:]}
         for name, values in parsed.items():
             if name == TARGET_LABEL:
@@ -327,8 +328,10 @@ class TestWriteDocumentSet:
             assert not re.search(r"\b20\d\d-\d\d-\d\d\b", text)  # no dates
 
     def test_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(InvalidValue):
-            write_document_set(tmp_path, fmt="pdf")
+        outdir = tmp_path / "docs"
+        with pytest.raises(InvalidValue, match=r"^unknown format 'pdf'$"):
+            write_document_set(outdir, fmt="pdf")
+        assert not outdir.exists()
 
     def test_partial_grid_is_refused_without_asserts(self, tmp_path, monkeypatch):
         # a real check, which python -O keeps
