@@ -4,7 +4,9 @@ Subcommands: ``rank`` (candidates closest to a target), ``errors`` (relative
 errors of the top candidates), ``gaps`` (second-minus-first gap analysis),
 ``sweep`` (the full built-in analysis grid on stdout) and ``reproduce`` (the
 complete document set written to a directory).  Only ``sweep`` and
-``reproduce`` import ``paper``, the module of the built-in grid.
+``reproduce`` import ``paper``, the module of the built-in grid.  The three
+query commands are declared once, in ``_QUERIES``; each subparser names its
+handler.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags or tokens, unreadable
 data file), 1 on data errors (malformed file content, incompatible inputs).
@@ -16,7 +18,7 @@ import argparse
 import sys
 
 from . import analysis, report
-from .core import MetricSpec, Profile, Unit, _number, fold_name
+from .core import MetricSpec, Profile, Unit, _number
 from .dataset import DistanceTable, builtin_table, parse_table, subset_references
 from .errors import InvalidValue, LpmatchError
 
@@ -42,90 +44,6 @@ def _positive_int(token: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{token!r} must be >= 1")
     return value
-
-
-def _add_data_options(parser: argparse.ArgumentParser, top_default: int | None) -> None:
-    parser.add_argument(
-        "--data",
-        default="builtin:km",
-        help="data source: builtin:km, builtin:hours, or a path to a "
-             "delimiter-separated file (default: builtin:km)",
-    )
-    parser.add_argument(
-        "--unit",
-        default="km",
-        help="unit of a file data source: km, hours or jornadas (default: km); "
-             "ignored for builtin sources",
-    )
-    parser.add_argument(
-        "--decimal",
-        choices=("auto", "dot", "comma"),
-        default="auto",
-        help="decimal separator of a file data source (default: auto)",
-    )
-    parser.add_argument(
-        "--solution",
-        default="classic",
-        help="target profile: 'classic', 'refined', or a comma-separated list "
-             "of jornada values bound positionally to the data's reference "
-             "order (default: classic)",
-    )
-    parser.add_argument(
-        "--exclude",
-        action="append",
-        default=[],
-        metavar="REFERENCE",
-        help="drop a reference point from both the data and the solution; repeatable",
-    )
-    if top_default is not None:
-        parser.add_argument(
-            "--top",
-            type=_positive_int,
-            default=top_default,
-            help=f"number of candidates to show (default: {top_default})",
-        )
-    parser.add_argument(
-        "--format",
-        choices=report.FORMATS,
-        default="md",
-        help="output format (default: md)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lpmatch",
-        description="Rank candidates by Minkowski-metric closeness of their "
-                    "distance profiles to a target profile.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rank = sub.add_parser("rank", help="rank candidates by distance to the target")
-    _add_data_options(p_rank, top_default=5)
-    p_rank.add_argument("--metric", type=_metric, default=MetricSpec.ln(2),
-                        help="l1, l2, linf or l<n> (default: l2)")
-
-    p_err = sub.add_parser("errors", help="relative errors of the closest candidates")
-    _add_data_options(p_err, top_default=3)
-    p_err.add_argument("--metric", type=_metric, default=MetricSpec.ln(2),
-                       help="l1, l2, linf or l<n> (default: l2)")
-
-    p_gaps = sub.add_parser("gaps", help="second-minus-first gap analysis")
-    _add_data_options(p_gaps, top_default=None)
-    p_gaps.add_argument("--metric", type=_metric, default=None,
-                        help="accepted for interface symmetry; gaps always "
-                             "evaluate the L_inf, L_1, L_2 family")
-
-    p_sweep = sub.add_parser("sweep", help="run the full built-in analysis grid")
-    p_sweep.add_argument("--format", choices=report.FORMATS, default="md",
-                         help="output format (default: md)")
-
-    p_rep = sub.add_parser("reproduce", help="write the complete document set")
-    p_rep.add_argument("--outdir", required=True, help="output directory")
-    p_rep.add_argument("--format", choices=report.FORMATS, default="md",
-                       help="document format (default: md)")
-
-    return parser
 
 
 def _load_table(args: argparse.Namespace) -> DistanceTable:
@@ -172,12 +90,11 @@ def _resolve_solution(token: str, table: DistanceTable) -> analysis.SolutionProf
 def _apply_exclusions(table: DistanceTable, excluded: list[str]) -> DistanceTable:
     if not excluded:
         return table
-    known = {fold_name(r) for r in table.references}
-    for token in excluded:
-        if fold_name(token) not in known:
-            raise _UsageError(f"unknown reference {token!r} in --exclude")
-    dropped = {fold_name(t) for t in excluded}
-    keep = [r for r in table.references if fold_name(r) not in dropped]
+    try:
+        dropped = subset_references(table, excluded).references
+    except InvalidValue as exc:  # the first unknown name, as "unknown reference 'X'"
+        raise _UsageError(f"{exc} in --exclude") from None
+    keep = [r for r in table.references if r not in dropped]
     if not keep:
         raise _UsageError("cannot exclude every reference")
     return subset_references(table, keep)
@@ -237,18 +154,86 @@ def _cmd_reproduce(args: argparse.Namespace) -> str:
     return "".join(f"{path}\n" for path in written)
 
 
+_LN_METRIC = (MetricSpec.ln(2), "l1, l2, linf or l<n> (default: l2)")
+
+# The query commands, which share the data options: name, help, handler,
+# --top default (None: no --top), and --metric default and help.
+_QUERIES = (
+    ("rank", "rank candidates by distance to the target", _cmd_rank, 5, *_LN_METRIC),
+    ("errors", "relative errors of the closest candidates", _cmd_errors, 3, *_LN_METRIC),
+    ("gaps", "second-minus-first gap analysis", _cmd_gaps, None, None,
+     "accepted for interface symmetry; gaps always evaluate the L_inf, L_1, L_2 family"),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lpmatch",
+        description="Rank candidates by Minkowski-metric closeness of their "
+                    "distance profiles to a target profile.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, help_text, handler, top, metric, metric_help in _QUERIES:
+        p_query = sub.add_parser(name, help=help_text)
+        p_query.set_defaults(handler=handler)
+        p_query.add_argument(
+            "--data",
+            default="builtin:km",
+            help="data source: builtin:km, builtin:hours, or a path to a "
+                 "delimiter-separated file (default: builtin:km)",
+        )
+        p_query.add_argument(
+            "--unit",
+            default="km",
+            help="unit of a file data source: km, hours or jornadas (default: km); "
+                 "ignored for builtin sources",
+        )
+        p_query.add_argument(
+            "--decimal",
+            choices=("auto", "dot", "comma"),
+            default="auto",
+            help="decimal separator of a file data source (default: auto)",
+        )
+        p_query.add_argument(
+            "--solution",
+            default="classic",
+            help="target profile: 'classic', 'refined', or a comma-separated list "
+                 "of jornada values bound positionally to the data's reference "
+                 "order (default: classic)",
+        )
+        p_query.add_argument(
+            "--exclude",
+            action="append",
+            default=[],
+            metavar="REFERENCE",
+            help="drop a reference point from both the data and the solution; repeatable",
+        )
+        if top is not None:
+            p_query.add_argument("--top", type=_positive_int, default=top,
+                                 help=f"number of candidates to show (default: {top})")
+        p_query.add_argument("--format", choices=report.FORMATS, default="md",
+                             help="output format (default: md)")
+        p_query.add_argument("--metric", type=_metric, default=metric, help=metric_help)
+
+    p_sweep = sub.add_parser("sweep", help="run the full built-in analysis grid")
+    p_sweep.set_defaults(handler=_cmd_sweep)
+    p_sweep.add_argument("--format", choices=report.FORMATS, default="md",
+                         help="output format (default: md)")
+
+    p_rep = sub.add_parser("reproduce", help="write the complete document set")
+    p_rep.set_defaults(handler=_cmd_reproduce)
+    p_rep.add_argument("--outdir", required=True, help="output directory")
+    p_rep.add_argument("--format", choices=report.FORMATS, default="md",
+                       help="document format (default: md)")
+
+    return parser
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "rank": _cmd_rank,
-        "errors": _cmd_errors,
-        "gaps": _cmd_gaps,
-        "sweep": _cmd_sweep,
-        "reproduce": _cmd_reproduce,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        output = handlers[args.command](args)
+        output = args.handler(args)
     except (_UsageError, LpmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1

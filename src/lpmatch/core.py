@@ -130,6 +130,14 @@ def _strings(values: Iterable[object]) -> tuple[str, ...]:
     return tuple(map(str, values))
 
 
+def _names(names: Iterable[str], requirement: str) -> tuple:
+    """``names`` as a tuple, through ``_coerce``; a bare string, which would
+    iterate as one-letter names, raises InvalidValue as a non-iterable does."""
+    if isinstance(names, str):
+        raise InvalidValue(f"{requirement}, got {_shown(names)}")
+    return _coerce(tuple, names, requirement)
+
+
 @lru_cache(maxsize=4096)
 def _unmarked(char: str) -> str:
     """What a non-ASCII character of a folded key becomes: "i" for the
@@ -264,7 +272,7 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
 
     def select(self, names: Sequence[str]) -> "Profile":
         """Profile restricted to ``names`` (matched by folded key), in that order."""
-        names = _coerce(tuple, names, "selected references must be an iterable of names")
+        names = _names(names, "selected references must be an iterable of names")
         by_key = {fold_name(n): v for n, v in self.items()}
         values = []
         for name in names:

@@ -48,7 +48,8 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 
-from .core import Profile, Unit, _coerce, _floats, _fold_names, _number, _shown, fold_name
+from .core import (Profile, Unit, _coerce, _floats, _fold_names, _names, _number, _shown,
+                   fold_name)
 from .errors import InvalidValue, ParseError
 
 __all__ = [
@@ -153,7 +154,7 @@ class DistanceTable:
         raw candidate names, as strings, and one float tuple per reference."""
         if not isinstance(unit, Unit):
             raise InvalidValue(f"table unit must be a Unit, got {_shown(unit)}")
-        references = _coerce(tuple, references, "table references must be an iterable of names")
+        references = _names(references, "table references must be an iterable of names")
         if not references:
             raise InvalidValue("a table needs at least one reference column")
         refs, keys = zip(*map(_named, references))
@@ -466,7 +467,7 @@ def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:
 
 def subset_references(table: DistanceTable, keep: Sequence[str]) -> DistanceTable:
     """Restrict a table to the given reference columns, keeping table order."""
-    keep = _coerce(tuple, keep or (), "references to keep must be an iterable of names")
+    keep = _names(keep or (), "references to keep must be an iterable of names")
     if not keep:
         raise InvalidValue("must keep at least one reference")
     available = set(table._keys)

@@ -30,7 +30,7 @@ from .analysis import (
     _rank_family,
     target_profile,
 )
-from .core import DEFAULT_RATES, ConversionRates, MetricSpec, Unit, _Checked
+from .core import DEFAULT_RATES, ConversionRates, MetricSpec, Unit, _Checked, _names
 from .dataset import REFERENCES, builtin_table, subset_references
 from .errors import InvalidValue
 from .report import (
@@ -67,7 +67,8 @@ class Configuration(_Checked, namedtuple("Configuration", "solution unit referen
 
     def __new__(cls, solution: SolutionProfile, unit: Unit, references: Sequence[str],
                 metric: MetricSpec) -> "Configuration":
-        return super().__new__(cls, solution, unit, tuple(references), metric)
+        references = _names(references, "configuration references must be an iterable of names")
+        return super().__new__(cls, solution, unit, references, metric)
 
     def __post_init__(self) -> None:
         if self.unit is Unit.JORNADAS:

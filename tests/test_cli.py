@@ -389,3 +389,134 @@ class TestOverflowInputs:
         assert (code, err) == (0, "")
         cells = [f"{int(Decimal(v))}.00" for v in ("1.5e300", "1e300", "1e300", "1.5e300")]
         assert out.splitlines()[2] == ",".join(["Y"] + cells)
+
+
+# --help of lpmatch and of each subcommand at 80 columns, byte for byte; the
+# text is the same under Python 3.10 to 3.13
+HELP = {
+    "": """\
+usage: lpmatch [-h] {rank,errors,gaps,sweep,reproduce} ...
+
+Rank candidates by Minkowski-metric closeness of their distance profiles to a
+target profile.
+
+positional arguments:
+  {rank,errors,gaps,sweep,reproduce}
+    rank                rank candidates by distance to the target
+    errors              relative errors of the closest candidates
+    gaps                second-minus-first gap analysis
+    sweep               run the full built-in analysis grid
+    reproduce           write the complete document set
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "rank": """\
+usage: lpmatch rank [-h] [--data DATA] [--unit UNIT]
+                    [--decimal {auto,dot,comma}] [--solution SOLUTION]
+                    [--exclude REFERENCE] [--top TOP]
+                    [--format {md,csv,jsonl}] [--metric METRIC]
+
+options:
+  -h, --help            show this help message and exit
+  --data DATA           data source: builtin:km, builtin:hours, or a path to a
+                        delimiter-separated file (default: builtin:km)
+  --unit UNIT           unit of a file data source: km, hours or jornadas
+                        (default: km); ignored for builtin sources
+  --decimal {auto,dot,comma}
+                        decimal separator of a file data source (default:
+                        auto)
+  --solution SOLUTION   target profile: 'classic', 'refined', or a comma-
+                        separated list of jornada values bound positionally to
+                        the data's reference order (default: classic)
+  --exclude REFERENCE   drop a reference point from both the data and the
+                        solution; repeatable
+  --top TOP             number of candidates to show (default: 5)
+  --format {md,csv,jsonl}
+                        output format (default: md)
+  --metric METRIC       l1, l2, linf or l<n> (default: l2)
+""",
+    "errors": """\
+usage: lpmatch errors [-h] [--data DATA] [--unit UNIT]
+                      [--decimal {auto,dot,comma}] [--solution SOLUTION]
+                      [--exclude REFERENCE] [--top TOP]
+                      [--format {md,csv,jsonl}] [--metric METRIC]
+
+options:
+  -h, --help            show this help message and exit
+  --data DATA           data source: builtin:km, builtin:hours, or a path to a
+                        delimiter-separated file (default: builtin:km)
+  --unit UNIT           unit of a file data source: km, hours or jornadas
+                        (default: km); ignored for builtin sources
+  --decimal {auto,dot,comma}
+                        decimal separator of a file data source (default:
+                        auto)
+  --solution SOLUTION   target profile: 'classic', 'refined', or a comma-
+                        separated list of jornada values bound positionally to
+                        the data's reference order (default: classic)
+  --exclude REFERENCE   drop a reference point from both the data and the
+                        solution; repeatable
+  --top TOP             number of candidates to show (default: 3)
+  --format {md,csv,jsonl}
+                        output format (default: md)
+  --metric METRIC       l1, l2, linf or l<n> (default: l2)
+""",
+    "gaps": """\
+usage: lpmatch gaps [-h] [--data DATA] [--unit UNIT]
+                    [--decimal {auto,dot,comma}] [--solution SOLUTION]
+                    [--exclude REFERENCE] [--format {md,csv,jsonl}]
+                    [--metric METRIC]
+
+options:
+  -h, --help            show this help message and exit
+  --data DATA           data source: builtin:km, builtin:hours, or a path to a
+                        delimiter-separated file (default: builtin:km)
+  --unit UNIT           unit of a file data source: km, hours or jornadas
+                        (default: km); ignored for builtin sources
+  --decimal {auto,dot,comma}
+                        decimal separator of a file data source (default:
+                        auto)
+  --solution SOLUTION   target profile: 'classic', 'refined', or a comma-
+                        separated list of jornada values bound positionally to
+                        the data's reference order (default: classic)
+  --exclude REFERENCE   drop a reference point from both the data and the
+                        solution; repeatable
+  --format {md,csv,jsonl}
+                        output format (default: md)
+  --metric METRIC       accepted for interface symmetry; gaps always evaluate
+                        the L_inf, L_1, L_2 family
+""",
+    "sweep": """\
+usage: lpmatch sweep [-h] [--format {md,csv,jsonl}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {md,csv,jsonl}
+                        output format (default: md)
+""",
+    "reproduce": """\
+usage: lpmatch reproduce [-h] --outdir OUTDIR [--format {md,csv,jsonl}]
+
+options:
+  -h, --help            show this help message and exit
+  --outdir OUTDIR       output directory
+  --format {md,csv,jsonl}
+                        document format (default: md)
+""",
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(HELP), ids=lambda command: command or "lpmatch")
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            run([command, "--help"] if command else ["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr() == (HELP[command], "")
+
+    def test_gaps_takes_no_top(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["gaps", "--top", "3"])
+        assert info.value.code == 2
+        assert "error: unrecognized arguments: --top 3\n" in capsys.readouterr().err

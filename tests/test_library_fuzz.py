@@ -40,6 +40,7 @@ from lpmatch.core import (
     metric_distance,
 )
 from lpmatch.dataset import (
+    REFERENCES,
     DistanceTable,
     builtin_table,
     normalize_name,
@@ -47,7 +48,7 @@ from lpmatch.dataset import (
     subset_references,
 )
 from lpmatch.errors import InvalidValue, LpmatchError, ParseError
-from lpmatch.paper import Configuration
+from lpmatch.paper import Configuration, sweep
 from lpmatch.report import (
     RenderedTable,
     build_dataset_table,
@@ -212,6 +213,21 @@ KM = Unit.KILOMETERS
     (lambda: subset_references(TABLE, iter(())), r"^must keep at least one reference$"),
     (lambda: target_profile(CLASSIC_SOLUTION, Unit.HOURS, 7),
      r"^selected references must be an iterable of names, got 7$"),
+    # a bare string where a list of names belongs is not read as one-letter names
+    (lambda: subset_references(builtin_table("km"), "Munera"),
+     r"^references to keep must be an iterable of names, got 'Munera'$"),
+    (lambda: target_profile(CLASSIC_SOLUTION, KM, "Munera"),
+     r"^selected references must be an iterable of names, got 'Munera'$"),
+    (lambda: CLASSIC_SOLUTION.jornadas.select("Munera"),
+     r"^selected references must be an iterable of names, got 'Munera'$"),
+    (lambda: sweep((CLASSIC_SOLUTION,), (KM,), REFERENCES, (MetricSpec(1),)),
+     r"^references to keep must be an iterable of names, got 'Venta de Cárdenas'$"),
+    (lambda: DistanceTable(KM, "ab", [("x", (1, 2))]),
+     r"^table references must be an iterable of names, got 'ab'$"),
+    (lambda: Configuration(CLASSIC_SOLUTION, KM, "Munera", MetricSpec(1)),
+     r"^configuration references must be an iterable of names, got 'Munera'$"),
+    (lambda: Configuration(CLASSIC_SOLUTION, KM, 5, MetricSpec(1)),
+     r"^configuration references must be an iterable of names, got 5$"),
 ])
 def test_wrong_types_raise_invalid_value_naming_the_field(call, message):
     with pytest.raises(InvalidValue, match=message):
