@@ -25,10 +25,10 @@ the field, never a bare TypeError or ValueError.  A number given as text is
 read by ``_number``, the rule for data files too, which refuses '1_0' and
 non-ASCII digits; bytes-like text is read the same way.
 
-Names are matched by one key, ``fold_name``.  A parsed table folds its whole
-name column in one pass (``_fold_names``): the names, whitespace collapsed,
-are joined by newlines, case-folded and NFKD-decomposed once, and each
-distinct combining mark in them is deleted with one ``str.replace``.
+Every list of names a caller gives is read by ``_names``.  Each lookup folds
+its whole list to ``fold_name`` keys at once: the names, whitespace collapsed,
+are joined by newlines (``_lines``), case-folded and NFKD-decomposed once, and
+each distinct combining mark in them is deleted with one ``str.replace``.
 """
 
 from __future__ import annotations
@@ -126,16 +126,16 @@ def _floats(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(map(_real, values))
 
 
-def _strings(values: Iterable[object]) -> tuple[str, ...]:
-    return tuple(map(str, values))
-
-
-def _names(names: Iterable[str], requirement: str) -> tuple:
-    """``names`` as a tuple, through ``_coerce``; a bare string, which would
-    iterate as one-letter names, raises InvalidValue as a non-iterable does."""
+def _names(names: Iterable[str], requirement: str) -> tuple[str, ...]:
+    """``names`` as a tuple of strings.  A bare string, which would iterate
+    as one-letter names, raises InvalidValue as a non-iterable does."""
     if isinstance(names, str):
         raise InvalidValue(f"{requirement}, got {_shown(names)}")
-    return _coerce(tuple, names, requirement)
+    names = _coerce(tuple, names, requirement)
+    for name in names:
+        if not isinstance(name, str):
+            raise InvalidValue(f"a name must be a string, got {_shown(name)}")
+    return names
 
 
 @lru_cache(maxsize=4096)
@@ -176,25 +176,27 @@ def _folded(text: str) -> str:
     return text
 
 
+def _lines(names: Iterable[str]) -> str:
+    """``names``, whitespace collapsed, joined by '\\n', which none then holds."""
+    return "\n".join(map(" ".join, map(str.split, names)))
+
+
+def _keys(lines: str) -> list[str]:
+    """``fold_name`` of each name of ``lines``, from ``_lines``, in one fold."""
+    keys = _folded(lines).split("\n")
+    return list(map(_ALIASES.get, keys, keys))
+
+
 def fold_name(name: str) -> str:
     """Comparison key for reference and candidate names.
 
     Trims, collapses internal whitespace runs, case-folds and strips
     diacritics, so that e.g. ' venta  de cardenas' matches 'Venta de
     Cárdenas'.  The dotless ı folds to i, and the alternate spelling
-    'Fuencollana' to 'fuenllana'.  No other code decides name equality:
-    ``_fold_names`` folds a column of names by this same rule.
+    'Fuencollana' to 'fuenllana'.  This is the one-name case of ``_keys``,
+    which alone decides name equality.
     """
-    key = _folded(" ".join(_coerce(str.split, name, "a name must be a string")))
-    return _ALIASES.get(key, key)
-
-
-def _fold_names(collapsed: Sequence[str]) -> list[str]:
-    """``fold_name`` of each of ``collapsed``, one or more names whose
-    whitespace is already collapsed, from one fold of the names joined by
-    '\\n'."""
-    keys = _folded("\n".join(collapsed)).split("\n")
-    return list(map(_ALIASES.get, keys, keys))
+    return _keys(_lines(_names((name,), "a name must be a string")))[0]
 
 
 class _Checked(tuple):
@@ -244,7 +246,7 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
     def __new__(cls, names: Iterable[str], values: Iterable[float], unit: Unit) -> "Profile":
         return super().__new__(
             cls,
-            _coerce(_strings, names, "profile names must be strings"),
+            _names(names, "profile names must be strings"),
             _coerce(_floats, values, "profile distances must be real numbers"),
             unit,
         )
@@ -263,8 +265,7 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
                 raise InvalidValue(
                     f"distance for {name!r} must be finite and >= 0, got {value!r}"
                 )
-        keys = {fold_name(n) for n in self.names}
-        if len(keys) != len(self.names):
+        if len(set(_keys(_lines(self.names)))) != len(self.names):
             raise InvalidValue("reference names must be unique after normalization")
 
     def items(self) -> Iterator[tuple[str, float]]:
@@ -273,14 +274,12 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
     def select(self, names: Sequence[str]) -> "Profile":
         """Profile restricted to ``names`` (matched by folded key), in that order."""
         names = _names(names, "selected references must be an iterable of names")
-        by_key = {fold_name(n): v for n, v in self.items()}
-        values = []
-        for name in names:
-            key = fold_name(name)
-            if key not in by_key:
-                raise InvalidValue(f"profile has no reference named {name!r}")
-            values.append(by_key[key])
-        return Profile(names, tuple(values), self.unit)
+        keys = _keys(_lines(self.names + names))  # this profile's keys, then the selection's
+        by_key = dict(zip(keys, self.values))
+        values = tuple(map(by_key.get, keys[len(self.names):]))
+        if None in values:
+            raise InvalidValue(f"profile has no reference named {names[values.index(None)]!r}")
+        return Profile(names, values, self.unit)
 
     def aligned_values(self, keys: Sequence[str]) -> tuple[float, ...]:
         """Values in the order of the folded reference ``keys``.
@@ -288,7 +287,7 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
         Raises InvalidValue unless the profile covers exactly those
         references.
         """
-        by_key = {fold_name(n): v for n, v in self.items()}
+        by_key = dict(zip(_keys(_lines(self.names)), self.values))
         if len(keys) != len(by_key) or not all(k in by_key for k in keys):
             odd = sorted(set(keys) ^ set(by_key))
             raise InvalidValue(
@@ -426,7 +425,7 @@ def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
     """
     if x.unit is not y.unit:
         raise InvalidValue(f"cannot compare a {x.unit.value} profile with a {y.unit.value} one")
-    theirs = y.aligned_values(tuple(fold_name(n) for n in x.names))
+    theirs = y.aligned_values(_keys(_lines(x.names)))
     return _norm(spec, (abs(a - b) for a, b in zip(x.values, theirs)))
 
 

@@ -28,14 +28,14 @@ rows are walked one after another, and that walk alone decides which error
 is raised, with the same message, line and column as a row-by-row load.
 Rows handed to the constructor as (name, values) pairs take the row walk
 directly.  A name's key, which every lookup matches, is ``core.fold_name``
-of its spelling, folded once; ``_named`` decides only how the name is
-displayed.  A parsed table folds its name column in one pass
-(``core._fold_names``): the names, whitespace collapsed, are joined by
-newlines and folded as one text, then split again, and they are title-cased
-for display the same way.  A cell is a number only if it is ASCII without
-``_``.  A warm ``parse_table`` of a 1,000x16 decimal-comma file takes about
-9 ms by the split path and about 21 ms by the record walk, on a shared
-2-vCPU Xeon host under Python 3.11.
+of its spelling.  ``_labelled`` gives names their keys and display
+spellings (canonical, else title-cased) from one whitespace collapse
+(``core._lines``), one fold (``core._keys``) and one title-casing: the whole
+name column at once on the split path, one name at a time in the row walk.
+A cell is a number only if it is ASCII without ``_``.  A warm
+``parse_table`` of a 1,000x16 decimal-comma file takes about 9 ms by the
+split path and about 21 ms by the record walk, on a shared 2-vCPU Xeon host
+under Python 3.11.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 
-from .core import (Profile, Unit, _coerce, _floats, _fold_names, _names, _number, _shown,
-                   fold_name)
+from .core import Profile, Unit, _coerce, _floats, _keys, _lines, _names, _number, _shown
 from .errors import InvalidValue, ParseError
 
 __all__ = [
@@ -64,13 +63,22 @@ __all__ = [
 
 REFERENCES = ("Venta de Cárdenas", "Puerto Lápice", "El Toboso", "Munera")
 
-def _named(raw: str) -> tuple[str, str]:
-    """``normalize_name(raw)`` and its ``fold_name`` key, from one fold."""
-    cleaned = " ".join(_coerce(str.split, raw, "a name must be a string"))
-    if not cleaned:
+
+def _labelled(names: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The display spellings (canonical, else title-cased) and the keys of
+    ``names``, strings, from their ``_lines``; InvalidValue for a blank name."""
+    lines = _lines(names)
+    titled = lines.title().split("\n")  # title case starts anew after a '\n'
+    if not all(titled):
         raise InvalidValue("name is empty or blank")
-    key = fold_name(cleaned)
-    return _CANONICAL.get(key) or cleaned.title(), key
+    keys = _keys(lines)
+    return tuple(map(_CANONICAL.get, keys, titled)), tuple(keys)
+
+
+def _named(raw: str) -> tuple[str, str]:
+    """``normalize_name(raw)`` and its ``fold_name`` key."""
+    (name,), (key,) = _labelled(_names((raw,), "a name must be a string"))
+    return name, key
 
 
 def normalize_name(raw: str) -> str:
@@ -89,24 +97,18 @@ def _pair(row) -> tuple:
 
 
 def _fast_fields(names: Sequence[str], columns: Sequence[tuple[float, ...]]) -> tuple | None:
-    """(candidates, index, columns) when every row is valid, else None.
-
-    The whole name column is folded, and title-cased, in one pass each: the
-    names are joined by '\\n', which no name holds once its whitespace is
-    collapsed and which both passes leave a boundary between names.
-    """
+    """(candidates, index, columns) when every row is valid, else None."""
     for column in columns:
         if not all(map(math.isfinite, column)) or min(column) <= 0.0:
             return None
-    cleaned = list(map(" ".join, map(str.split, names)))
-    if not all(cleaned):
+    try:
+        candidates, keys = _labelled(names)
+    except InvalidValue:
         return None  # a blank name
-    keys = _fold_names(cleaned)
     index = dict(zip(keys, range(len(keys))))
     if len(index) != len(keys):
         return None
-    titled = "\n".join(cleaned).title().split("\n")
-    return tuple(map(_CANONICAL.get, keys, titled)), index, tuple(columns)
+    return candidates, index, tuple(columns)
 
 
 def _walked_fields(rows: Iterable, width: int) -> tuple:
@@ -157,7 +159,7 @@ class DistanceTable:
         references = _names(references, "table references must be an iterable of names")
         if not references:
             raise InvalidValue("a table needs at least one reference column")
-        refs, keys = zip(*map(_named, references))
+        refs, keys = _labelled(references)
         if len(set(keys)) != len(refs):
             raise InvalidValue("duplicate reference name in table header")
         if _columns is None:
@@ -302,8 +304,8 @@ _HOURS_ROWS = (
 
 # folded key (of an alternate spelling too) -> canonical name; the hours
 # rows hold the canonical spellings, the km rows one alternate verbatim
-_CANONICAL = {fold_name(name): name
-              for name in tuple(name for name, _ in _HOURS_ROWS) + REFERENCES}
+_SPELLINGS = tuple(map(itemgetter(0), _HOURS_ROWS)) + REFERENCES
+_CANONICAL = dict(zip(_keys(_lines(_SPELLINGS)), _SPELLINGS))
 
 
 @lru_cache(maxsize=None)
@@ -467,14 +469,11 @@ def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:
 
 def subset_references(table: DistanceTable, keep: Sequence[str]) -> DistanceTable:
     """Restrict a table to the given reference columns, keeping table order."""
-    keep = _names(keep or (), "references to keep must be an iterable of names")
+    keep = _names(() if keep is None else keep, "references to keep must be an iterable of names")
     if not keep:
         raise InvalidValue("must keep at least one reference")
-    available = set(table._keys)
-    wanted: set[str] = set()
-    for raw in keep:
-        key = fold_name(raw)
-        if key not in available:
+    keys = _keys(_lines(keep))
+    for raw, key in zip(keep, keys):
+        if key not in table._keys:
             raise InvalidValue(f"unknown reference {raw!r}")
-        wanted.add(key)
-    return table._project([i for i, key in enumerate(table._keys) if key in wanted])
+    return table._project([i for i, key in enumerate(table._keys) if key in keys])

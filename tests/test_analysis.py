@@ -512,13 +512,14 @@ RECORD_CASES = [
     RecordCase(
         Profile, {"names": ("a", "b"), "values": (1.0, 2.0), "unit": Unit.JORNADAS},
         _PROFILE_REPR,
-        coercions=(({"names": ["a", 2]}, "names", ("a", "2")),
+        coercions=(({"names": ["a", "b"]}, "names", ("a", "b")),
                    ({"values": [1, "2.5"]}, "values", (1.0, 2.5))),
         invalid=(({"values": (1.0, -1.0)}, InvalidValue,
                   r"^distance for 'b' must be finite and >= 0, got -1\.0$"),
                  ({"names": ("a", " A ")}, InvalidValue,
                   r"^reference names must be unique after normalization$"),
                  ({"names": ("a", " ")}, InvalidValue, r"^blank reference name in profile$"),
+                 ({"names": ("a", 2)}, InvalidValue, r"^a name must be a string, got 2$"),
                  ({"values": (1.0,)}, InvalidValue,
                   r"^a profile needs exactly one value per reference name$"),
                  ({"names": (), "values": ()}, InvalidValue,

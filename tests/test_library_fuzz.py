@@ -175,6 +175,22 @@ def test_structural_arguments_give_a_result_or_an_lpmatch_error(name, data):
 KM = Unit.KILOMETERS
 
 
+class TruthlessNames:
+    """A sequence of names whose truth value raises, as a numpy array's does."""
+
+    def __init__(self, *names):
+        self.names = names
+
+    def __len__(self):
+        return len(self.names)
+
+    def __getitem__(self, i):
+        return self.names[i]
+
+    def __bool__(self):
+        raise ValueError("the truth value of a sequence of names is ambiguous")
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: MetricSpec(math.nan), r"^metric order must be an integer >= 1, got nan$"),
     (lambda: MetricSpec("x"), r"^metric order must be an integer >= 1, got 'x'$"),
@@ -228,6 +244,24 @@ KM = Unit.KILOMETERS
      r"^configuration references must be an iterable of names, got 'Munera'$"),
     (lambda: Configuration(CLASSIC_SOLUTION, KM, 5, MetricSpec(1)),
      r"^configuration references must be an iterable of names, got 5$"),
+    (lambda: Configuration(CLASSIC_SOLUTION, KM, (1, None), MetricSpec(1)),
+     r"^a name must be a string, got 1$"),
+    # every list of names is read alike: a bare string, a non-iterable and a
+    # name that is not a string, wherever a list of names belongs
+    (lambda: Profile("ab", (1.0, 2.0), Unit.HOURS), r"^profile names must be strings, got 'ab'$"),
+    (lambda: Profile(5, (1.0,), KM), r"^profile names must be strings, got 5$"),
+    (lambda: Profile((b"a", 3), (1.0, 2.0), KM), r"^a name must be a string, got b'a'$"),
+    (lambda: CLASSIC_SOLUTION.jornadas.select(7),
+     r"^selected references must be an iterable of names, got 7$"),
+    (lambda: CLASSIC_SOLUTION.jornadas.select(("Munera", None)),
+     r"^a name must be a string, got None$"),
+    (lambda: target_profile(CLASSIC_SOLUTION, KM, ("Munera", 1)),
+     r"^a name must be a string, got 1$"),
+    (lambda: DistanceTable(KM, ("a", 2), [("x", (1, 2))]), r"^a name must be a string, got 2$"),
+    (lambda: subset_references(TABLE, ("a", 2)), r"^a name must be a string, got 2$"),
+    (lambda: subset_references(TABLE, ""),
+     r"^references to keep must be an iterable of names, got ''$"),
+    (lambda: subset_references(TABLE, TruthlessNames("a", "c")), r"^unknown reference 'c'$"),
 ])
 def test_wrong_types_raise_invalid_value_naming_the_field(call, message):
     with pytest.raises(InvalidValue, match=message):
