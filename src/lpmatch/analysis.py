@@ -11,13 +11,14 @@ name once, then works a whole column at a time: one list of |column - goal|
 differences per reference gives every candidate's distance through the batch
 reducer of ``core``, and one sort on the distances alone orders the
 candidates.  Only rows whose distance equals another row's need the L2
-tie-break, so it is computed for those rows only, through the same reducer,
-and they are re-sorted by (distance, L2, name) in place.  That hides no
-overflow: differences are >= 0, so a row's L2 is at most sqrt(R) times its
-largest difference, which is at most any of its Lp distances.  While sqrt(R)
-times the largest distance stays below half the largest double no L2 can
-overflow; beyond that every row's L2 is computed once, as a check.  So
-rankings, tie order and errors are the ones a full L2 pass gives.
+tie-break, and they are re-sorted by (distance, L2, name) in place.  Each
+ranking decides once which rows get an L2, through the same reducer:
+differences are >= 0, so a row's L2 is at most sqrt(R) times its largest
+difference, which is at most any of its Lp distances.  While sqrt(R) times
+the largest distance stays below half the largest double no L2 can overflow,
+and only the tied rows get one; beyond that every row does, and that one
+pass is both the tie-break and the overflow check.  So rankings, tie order
+and errors are the ones a full L2 pass gives.
 ``gap_report`` and the paper grid's ``sweep`` (see ``paper``) rank a family
 of metrics from one set of differences, each metric breaking its own ties in
 the same way.  A distance or relative error that is not a finite double
@@ -31,7 +32,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import compress, count, islice, repeat
-from operator import eq, index, itemgetter
+from operator import eq, index
 
 from .core import (
     DEFAULT_RATES,
@@ -141,8 +142,10 @@ def _rankings(
     The |column - goal| differences are built once and shared by every
     metric.  Each ranking sorts the rows on their distances, then re-sorts
     the rows whose distance is tied by (distance, L2, name), with the L2 of
-    those rows only.  The InvalidValue of an overflow names the metric that
-    ``rank_candidates`` would name for the first of ``metrics`` to meet one.
+    those rows only; beyond the overflow bound it re-sorts every row, and
+    that L2 pass is also the overflow check.  The InvalidValue of an
+    overflow names the metric that ``rank_candidates`` would name for the
+    first of ``metrics`` to meet one.
     """
     if target.unit is not table.unit:
         raise InvalidValue(
@@ -155,49 +158,40 @@ def _rankings(
     names = table.candidates
     rankings = {}
     for metric in metrics:
-        distances = _checked_norms(metric, diffs)
-        order = sorted(range(len(distances)), key=distances.__getitem__)  # float keys, stable
-        ordered = list(map(distances.__getitem__, order))
-        tied = list(compress(count(), map(eq, ordered, islice(ordered, 1, None))))
-        if tied:
-            # the positions in ``order`` of every row whose distance equals a
-            # neighbour's, ascending; re-sorting those rows by (distance, L2,
-            # name) orders each run of equal distances within its own positions
-            positions = sorted({*tied, *(position + 1 for position in tied)})
-            rows = list(map(order.__getitem__, positions))
-            pick = itemgetter(*rows)  # at least two rows, so it returns a tuple
-            l2 = _norms(_L2, [pick(column) for column in diffs])
-            keyed = sorted(zip(map(ordered.__getitem__, positions), l2,
-                               map(names.__getitem__, rows), rows))
-            for position, (_, _, _, row) in zip(positions, keyed):
-                order[position] = row
+        try:
+            distances = _norms(metric, diffs)
+            order = sorted(range(len(distances)), key=distances.__getitem__)  # float keys, stable
+            ordered = list(map(distances.__getitem__, order))
+            # every Lp distance of a row, L_inf included, is at least its
+            # largest difference, and its L2 at most sqrt(R) times that
+            if ordered[-1] * math.sqrt(len(diffs)) < _L2_SAFE:
+                # the positions in ``order`` of every row whose distance
+                # equals a neighbour's, ascending
+                tied = list(compress(count(), map(eq, ordered, islice(ordered, 1, None))))
+                positions = sorted({*tied, *(position + 1 for position in tied)})
+            else:
+                positions = range(len(order))  # every row, so no L2 overflow goes unseen
+            if positions:
+                # re-sorting these rows by (distance, L2, name) orders each
+                # run of equal distances within its own positions
+                rows = list(map(order.__getitem__, positions))
+                l2 = _norms(_L2, [list(map(column.__getitem__, rows)) for column in diffs])
+                keyed = sorted(zip(map(ordered.__getitem__, positions), l2,
+                                   map(names.__getitem__, rows), rows))
+                for position, (_, _, _, row) in zip(positions, keyed):
+                    order[position] = row
+        except InvalidValue:
+            # name the metric that a row-by-row walk meets first, checking
+            # each row's distance before its L2
+            for row in zip(*diffs):
+                _norm(metric, row)
+                _norm(_L2, row)
+            raise
         # tuple.__new__ builds each entry as RankingEntry(name, distance, rank)
         # would, without a Python-level __new__ call per candidate
         fields = zip(map(names.__getitem__, order), ordered, count(1))
         rankings[metric] = list(map(tuple.__new__, repeat(RankingEntry), fields))
     return rankings
-
-
-def _checked_norms(metric: MetricSpec, diffs: list[list[float]]) -> list[float]:
-    """``_norms(metric, diffs)``, raising InvalidValue also when some row's
-    L2 tie-break would overflow.
-
-    The InvalidValue names the metric that a row-by-row walk meets first,
-    checking each row's ``metric`` distance before its L2 tie-break,
-    whichever pass found the overflow.
-    """
-    try:
-        distances = _norms(metric, diffs)
-        # every Lp distance of a row, L_inf included, is at least its largest
-        # difference, and its L2 at most sqrt(R) times that
-        if max(distances) * math.sqrt(len(diffs)) >= _L2_SAFE:
-            _norms(_L2, diffs)
-    except InvalidValue:
-        for row in zip(*diffs):
-            _norm(metric, row)
-            _norm(_L2, row)
-        raise
-    return distances
 
 
 def top_k(ranking: Sequence[RankingEntry], k: int = 5) -> list[RankingEntry]:

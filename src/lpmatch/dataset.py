@@ -48,7 +48,9 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 
-from .core import Profile, Unit, _coerce, _floats, _keys, _lines, _names, _number, _shown
+from .core import (
+    Profile, Unit, _coerce, _floats, _keys, _lines, _names, _number, _shown, fold_name,
+)
 from .errors import InvalidValue, ParseError
 
 __all__ = [
@@ -219,10 +221,9 @@ class DistanceTable:
         return profile.aligned_values(self._keys)
 
     def row_values(self, candidate: str) -> tuple[float, ...]:
-        key = _named(candidate)[1]
-        if key not in self._index:
-            raise KeyError(candidate)
-        i = self._index[key]
+        i = self._index.get(fold_name(candidate))
+        if i is None:
+            raise InvalidValue(f"unknown candidate {_shown(candidate)}")
         return tuple(column[i] for column in self._columns)
 
     def __len__(self) -> int:

@@ -251,6 +251,44 @@ class TestTieBreakOverflow:
         assert reduced == [(metric.token, 5), ("l2", tied)]
         assert names == ["R3", "R4", "R0", "R1", "R2"]
 
+    @pytest.mark.parametrize("metric", [LINF, L1, MetricSpec.ln(3), None],
+                             ids=["linf", "l1", "l3", "gap_report"])
+    def test_every_row_gets_one_l2_above_the_bound(self, metric, monkeypatch):
+        # sqrt(4) * DBL_MAX / 3 crosses DBL_MAX / 2, yet no L2 overflows; the
+        # one full-table L2 pass is both the tie-break and the overflow check
+        third = DBL_MAX / 3
+        table = four_column_table((third, 1.0, 1.0, 1.0), (1.0, third, 1.0, 1.0),
+                                  (third, 1.0, 1.0, 1.0), (2.0,) * 4, (2.0,) * 4)
+        target = Profile(FOUR, (1.0,) * 4, Unit.KILOMETERS)
+        reduced = []
+
+        def recorded(spec, columns):
+            reduced.append((spec.token, len(columns[0])))
+            return norms(spec, columns)
+
+        norms = analysis._norms
+        monkeypatch.setattr(analysis, "_norms", recorded)
+        if metric is None:
+            records = gap_report(table, target).records
+            assert reduced == [("linf", 5), ("l2", 5), ("l1", 5), ("l2", 5),
+                               ("l2", 5), ("l2", 5)]
+            assert [(r.first, r.second) for r in records] == [("R3", "R4")] * 3
+            return
+        names = [e.candidate for e in rank_candidates(table, target, metric)]
+        assert reduced == [(metric.token, 5), ("l2", 5)]
+        assert names == ["R3", "R4", "R0", "R1", "R2"]
+
+    @pytest.mark.parametrize("metric", [LINF, L1, L2, MetricSpec.ln(3)],
+                             ids=["linf", "l1", "l2", "l3"])
+    def test_one_candidate_above_the_bound(self, metric):
+        # a lone row beyond the bound still gets its L2, from a one-row column
+        # pick, and its distance is the metric's own
+        table = four_column_table((DBL_MAX / 3, 1.0, 1.0, 1.0))
+        expected = {"linf": DBL_MAX / 3, "l1": math.fsum((DBL_MAX / 3, 3.0)),
+                    "l2": math.hypot(DBL_MAX / 3, 1.0, 1.0, 1.0),
+                    "l3": DBL_MAX / 3}[metric.token]
+        assert rank_candidates(table, AT_ZERO, metric) == [RankingEntry("R0", expected, 1)]
+
 
 class TestRankingEntry:
     def test_fields_equality_and_repr(self):

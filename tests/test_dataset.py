@@ -67,7 +67,7 @@ class TestBuiltinTables:
         assert row.values == (70.44, 72.28, 77.20, 52.52)
 
     def test_unknown_candidate(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidValue, match=r"^unknown candidate 'El Dorado'$"):
             row_profile(builtin_table("km"), "El Dorado")
 
 
@@ -265,7 +265,7 @@ class TestSubsetReferences:
         sub = subset_references(builtin_table("km"), ("el toboso", "VENTA DE CARDENAS"))
         assert sub.row_values("Fuencollana") == sub.row_values("fuenllana") == (71.56, 87.00)
         assert row_profile(sub, " FUENCOLLANA ").names == ("Venta de Cárdenas", "El Toboso")
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidValue, match=r"^unknown candidate 'El Dorado'$"):
             sub.row_values("El Dorado")
 
 

@@ -262,6 +262,8 @@ class TruthlessNames:
     (lambda: subset_references(TABLE, ""),
      r"^references to keep must be an iterable of names, got ''$"),
     (lambda: subset_references(TABLE, TruthlessNames("a", "c")), r"^unknown reference 'c'$"),
+    (lambda: builtin_table("km").row_values("Nowhere"), r"^unknown candidate 'Nowhere'$"),
+    (lambda: builtin_table("km").row_values(None), r"^a name must be a string, got None$"),
 ])
 def test_wrong_types_raise_invalid_value_naming_the_field(call, message):
     with pytest.raises(InvalidValue, match=message):
