@@ -41,6 +41,7 @@ from .core import (
     Profile,
     Unit,
     _Checked,
+    _check_kind,
     _coerce,
     _norm,
     _norms,
@@ -82,6 +83,7 @@ class SolutionProfile(_Checked, namedtuple("SolutionProfile", "label jornadas"))
     __slots__ = ()
 
     def __post_init__(self) -> None:
+        _check_kind(self.jornadas, Profile, "solution jornadas must be a Profile")
         if self.jornadas.unit is not Unit.JORNADAS:
             raise InvalidValue("a solution profile must be expressed in jornadas")
 
@@ -112,6 +114,8 @@ def target_profile(
     rates: ConversionRates = DEFAULT_RATES,
 ) -> Profile:
     """The solution restricted to ``references`` and converted to ``unit``."""
+    _check_kind(solution, SolutionProfile, "solution must be a SolutionProfile")
+    _check_kind(unit, Unit, "unit must be a Unit")
     return convert(solution.jornadas.select(references), unit, rates)
 
 
@@ -123,15 +127,10 @@ def rank_candidates(
     Exact ties are broken by ascending L2 distance to the target, then by
     candidate name.
     """
-    _check_kind(table, DistanceTable, "table")
-    _check_kind(target, Profile, "target")
-    _check_kind(metric, MetricSpec, "metric")
+    _check_kind(table, DistanceTable, "table must be a DistanceTable")
+    _check_kind(target, Profile, "target must be a Profile")
+    _check_kind(metric, MetricSpec, "metric must be a MetricSpec")
     return _rankings(table, target, (metric,))[metric]
-
-
-def _check_kind(value, kind: type, field: str) -> None:
-    if not isinstance(value, kind):
-        raise InvalidValue(f"{field} must be a {kind.__name__}, got {_shown(value)}")
 
 
 def _rankings(
@@ -196,13 +195,19 @@ def _rankings(
 
 def top_k(ranking: Sequence[RankingEntry], k: int = 5) -> list[RankingEntry]:
     """First min(k, N) entries of a ranking."""
+    _check_kind(ranking, Sequence, "ranking must be a sequence of RankingEntry")
     if _coerce(index, k, "k must be an integer") < 1:
         raise InvalidValue(f"k must be >= 1, got {_shown(k)}")
-    return list(ranking[:k])
+    shown = list(ranking[:k])
+    for entry in shown:
+        _check_kind(entry, RankingEntry, "a ranking entry must be a RankingEntry")
+    return shown
 
 
 def relative_error_percent(distance: float, target: Profile, metric: MetricSpec) -> float:
     """Distance as a percentage of the target's own magnitude under ``metric``."""
+    _check_kind(target, Profile, "target must be a Profile")
+    _check_kind(metric, MetricSpec, "metric must be a MetricSpec")
     requirement = "distance must be finite and >= 0"
     if not _coerce(math.isfinite, distance, requirement) or distance < 0.0:
         raise InvalidValue(f"{requirement}, got {_shown(distance)}")
@@ -235,8 +240,8 @@ def gap_report(table: DistanceTable, target: Profile) -> GapReport:
     Gaps are computed from full-precision relative errors; rounding is left
     to the rendering layer.
     """
-    _check_kind(table, DistanceTable, "table")
-    _check_kind(target, Profile, "target")
+    _check_kind(table, DistanceTable, "table must be a DistanceTable")
+    _check_kind(target, Profile, "target must be a Profile")
     return _rank_family(table, target, STANDARD_METRICS)[2]
 
 

@@ -23,7 +23,13 @@ complex number, a nested tuple) or out of the conversion's range (nan or an
 infinite order, an int too large for a double) raises InvalidValue naming
 the field, never a bare TypeError or ValueError.  A number given as text is
 read by ``_number``, the rule for data files too, which refuses '1_0' and
-non-ASCII digits; bytes-like text is read the same way.
+non-ASCII digits; bytes-like text is read the same way.  Every operand that
+is not converted, one of the package's objects, a name or a cell, is checked
+on entry by the other helper, ``_check_kind``, whose InvalidValue has the
+same shape: "table must be a DistanceTable, got None".  The elements of a
+container operand are checked one by one; a named-tuple result is trusted
+by kind, its fields unchecked.  An operand handed on unchanged to another
+public function or checked record is checked there.
 
 Every list of names a caller gives is read by ``_names``.  Each lookup folds
 its whole list to ``fold_name`` keys at once: the names, whitespace collapsed,
@@ -101,6 +107,19 @@ def _coerce(convert, value, requirement: str):
         raise InvalidValue(f"{requirement}, got {_shown(value)}") from None
 
 
+def _check_kind(value, kind, requirement: str) -> None:
+    """InvalidValue "<requirement>, got <value>" unless ``value`` is an
+    instance of ``kind``, a type or a tuple of types.
+
+    ``requirement`` names the operand and its kind, as in "table must be a
+    DistanceTable".  This is the one kind rule of the package: an operand of
+    the wrong kind gives a library caller an LpmatchError, never the
+    AttributeError or TypeError of its first use.
+    """
+    if not isinstance(value, kind):
+        raise InvalidValue(f"{requirement}, got {_shown(value)}")
+
+
 def _number(text: str, comma: bool = False) -> float:
     """A number given as text, read with ``float``, ``comma`` making ',' the
     decimal point; raises ValueError, as for '1_0' or '١٢', unless it is ASCII
@@ -133,8 +152,7 @@ def _names(names: Iterable[str], requirement: str) -> tuple[str, ...]:
         raise InvalidValue(f"{requirement}, got {_shown(names)}")
     names = _coerce(tuple, names, requirement)
     for name in names:
-        if not isinstance(name, str):
-            raise InvalidValue(f"a name must be a string, got {_shown(name)}")
+        _check_kind(name, str, "a name must be a string")
     return names
 
 
@@ -252,8 +270,7 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
         )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.unit, Unit):
-            raise InvalidValue(f"profile unit must be a Unit, got {_shown(self.unit)}")
+        _check_kind(self.unit, Unit, "profile unit must be a Unit")
         if not self.names:
             raise InvalidValue("a profile needs at least one entry")
         if len(self.names) != len(self.values):
@@ -287,6 +304,7 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
         Raises InvalidValue unless the profile covers exactly those
         references.
         """
+        keys = _names(keys, "reference keys must be an iterable of names")
         by_key = dict(zip(_keys(_lines(self.names)), self.values))
         if len(keys) != len(by_key) or not all(k in by_key for k in keys):
             odd = sorted(set(keys) ^ set(by_key))
@@ -423,6 +441,9 @@ def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
     with M the largest difference, which cannot overflow for large n.
     Raises InvalidValue when the distance is not a finite double.
     """
+    _check_kind(spec, MetricSpec, "spec must be a MetricSpec")
+    _check_kind(x, Profile, "x must be a Profile")
+    _check_kind(y, Profile, "y must be a Profile")
     if x.unit is not y.unit:
         raise InvalidValue(f"cannot compare a {x.unit.value} profile with a {y.unit.value} one")
     theirs = y.aligned_values(_keys(_lines(x.names)))
@@ -436,6 +457,9 @@ def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) ->
     measurements of different quantities and are never converted into each
     other.  ``target=Unit.JORNADAS`` returns ``p`` unchanged.
     """
+    _check_kind(p, Profile, "p must be a Profile")
+    _check_kind(target, Unit, "target must be a Unit")
+    _check_kind(rates, ConversionRates, "rates must be a ConversionRates")
     if p.unit is not Unit.JORNADAS:
         raise InvalidValue(
             f"profiles can only be converted out of jornadas, not from {p.unit.value}"
@@ -448,4 +472,6 @@ def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) ->
 
 def magnitude(spec: MetricSpec, p: Profile) -> float:
     """Distance from ``p`` to the all-zero profile over the same references."""
+    _check_kind(spec, MetricSpec, "spec must be a MetricSpec")
+    _check_kind(p, Profile, "p must be a Profile")
     return _norm(spec, map(abs, p.values))

@@ -49,7 +49,8 @@ from itertools import repeat
 from operator import itemgetter
 
 from .core import (
-    Profile, Unit, _coerce, _floats, _keys, _lines, _names, _number, _shown, fold_name,
+    Profile, Unit, _check_kind, _coerce, _floats, _keys, _lines, _names, _number, _shown,
+    fold_name,
 )
 from .errors import InvalidValue, ParseError
 
@@ -156,8 +157,7 @@ class DistanceTable:
     ):
         """``_columns``, used by ``parse_table`` in place of ``rows``, is the
         raw candidate names, as strings, and one float tuple per reference."""
-        if not isinstance(unit, Unit):
-            raise InvalidValue(f"table unit must be a Unit, got {_shown(unit)}")
+        _check_kind(unit, Unit, "table unit must be a Unit")
         references = _names(references, "table references must be an iterable of names")
         if not references:
             raise InvalidValue("a table needs at least one reference column")
@@ -218,6 +218,7 @@ class DistanceTable:
         Raises InvalidValue unless the profile covers exactly the
         table's references.
         """
+        _check_kind(profile, Profile, "profile must be a Profile")
         return profile.aligned_values(self._keys)
 
     def row_values(self, candidate: str) -> tuple[float, ...]:
@@ -318,8 +319,7 @@ def _builtin(unit: Unit) -> DistanceTable:
 def builtin_table(which: str | Unit) -> DistanceTable:
     """The embedded 24-locality table, ``which`` being 'km' or 'hours'."""
     unit = Unit.parse(which) if isinstance(which, str) else which
-    if not isinstance(unit, Unit):
-        raise InvalidValue(f"table unit must be a Unit, got {_shown(which)}")
+    _check_kind(unit, Unit, "table unit must be a Unit")
     if unit is Unit.JORNADAS:
         raise InvalidValue("built-in tables exist in kilometers and hours only")
     return _builtin(unit)
@@ -457,11 +457,16 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
 
 
 def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:
-    """Serialize with dot decimals at full precision; inverse of parse_table."""
+    """Serialize with dot decimals at full precision; inverse of parse_table.
+
+    ``delimiter`` is one character; raises InvalidValue otherwise.
+    """
     import csv
 
+    _check_kind(table, DistanceTable, "table must be a DistanceTable")
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer = _coerce(lambda d: csv.writer(out, delimiter=d, lineterminator="\n"),
+                     delimiter, "delimiter must be a one-character string")
     writer.writerow(("name",) + table.references)
     for candidate, values in zip(table.candidates, table.value_rows):
         writer.writerow((candidate,) + tuple(repr(v) for v in values))
@@ -470,6 +475,7 @@ def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:
 
 def subset_references(table: DistanceTable, keep: Sequence[str]) -> DistanceTable:
     """Restrict a table to the given reference columns, keeping table order."""
+    _check_kind(table, DistanceTable, "table must be a DistanceTable")
     keep = _names(() if keep is None else keep, "references to keep must be an iterable of names")
     if not keep:
         raise InvalidValue("must keep at least one reference")

@@ -3,9 +3,9 @@
 There are two kinds of data error.  ``InvalidValue`` is a value or argument
 outside its domain: a negative distance, a blank or duplicate name, a unit
 that does not fit, references that do not match, an empty table or
-selection, a target of zero magnitude.  ``ParseError`` is malformed table
-text, with the line and column where known.  Both are ``LpmatchError``, and
-the CLI maps both to exit 1.
+selection, a target of zero magnitude, an operand of the wrong kind.
+``ParseError`` is malformed table text, with the line and column where
+known.  Both are ``LpmatchError``, and the CLI maps both to exit 1.
 """
 
 

@@ -30,7 +30,9 @@ from .analysis import (
     _rank_family,
     target_profile,
 )
-from .core import DEFAULT_RATES, ConversionRates, MetricSpec, Unit, _Checked, _names
+from .core import (
+    DEFAULT_RATES, ConversionRates, MetricSpec, Unit, _Checked, _check_kind, _coerce, _names,
+)
 from .dataset import REFERENCES, builtin_table, subset_references
 from .errors import InvalidValue
 from .report import (
@@ -71,6 +73,10 @@ class Configuration(_Checked, namedtuple("Configuration", "solution unit referen
         return super().__new__(cls, solution, unit, references, metric)
 
     def __post_init__(self) -> None:
+        _check_kind(self.solution, SolutionProfile,
+                    "configuration solution must be a SolutionProfile")
+        _check_kind(self.unit, Unit, "configuration unit must be a Unit")
+        _check_kind(self.metric, MetricSpec, "configuration metric must be a MetricSpec")
         if self.unit is Unit.JORNADAS:
             raise InvalidValue("data tables exist in kilometers and hours, not jornadas")
         if not self.references:
@@ -113,6 +119,12 @@ def sweep(
     always computed over the standard L_inf/L_1/L_2 family.  Each result
     also carries the family's restricted built-in table and converted target.
     """
+    solutions = _elements(solutions, SolutionProfile, "solutions", "a solution")
+    units = _elements(units, Unit, "units", "a unit")
+    reference_subsets = _coerce(tuple, reference_subsets,
+                                "reference subsets must be an iterable of lists of names")
+    metrics = _elements(metrics, MetricSpec, "metrics", "a metric")
+    _check_kind(rates, ConversionRates, "rates must be a ConversionRates")
     results: dict[Configuration, SweepResult] = {}
     for solution in solutions:
         for refs in reference_subsets:
@@ -127,6 +139,14 @@ def sweep(
                     results[config] = SweepResult(ranking, errors, family_gaps,
                                                   restricted, target)
     return results
+
+
+def _elements(values, kind: type, plural: str, singular: str) -> tuple:
+    """``values`` as a tuple of ``kind`` instances, each checked."""
+    values = _coerce(tuple, values, f"{plural} must be an iterable of {kind.__name__}")
+    for value in values:
+        _check_kind(value, kind, f"{singular} must be a {kind.__name__}")
+    return values
 
 
 GRID_REFERENCE_SUBSETS = (REFERENCES, REFERENCES[:3])  # with and without Munera
@@ -164,6 +184,7 @@ def summarize_conclusions(results: Mapping[Configuration, SweepResult]) -> GridS
     combination; the two units may order near-ties differently.  Raises
     InvalidValue when ``results`` is empty.
     """
+    _check_results(results)
     if not results:
         raise InvalidValue("there are no results to summarize")
     top = tuple((config, result.ranking[0].candidate) for config, result in results.items())
@@ -208,6 +229,14 @@ def summarize_conclusions(results: Mapping[Configuration, SweepResult]) -> GridS
     )
 
 
+def _check_results(results: Mapping[Configuration, SweepResult]) -> None:
+    """InvalidValue unless ``results`` maps Configurations to SweepResults."""
+    _check_kind(results, Mapping, "results must be a mapping of Configuration to SweepResult")
+    for config, result in results.items():
+        _check_kind(config, Configuration, "a results key must be a Configuration")
+        _check_kind(result, SweepResult, "a results value must be a SweepResult")
+
+
 # entries: (locality, relative error %) pairs; gap and mean: None when the
 # analysis gave none
 ExternalResultRow = namedtuple("ExternalResultRow", "source entries gap mean",
@@ -248,6 +277,7 @@ def build_error_table(results: Mapping[Configuration, SweepResult]) -> RenderedT
 
     External rows (earlier published analyses) are listed first, verbatim.
     """
+    _check_results(results)
     header = ("configuration",
               "locality 1", "error 1 (%)",
               "locality 2", "error 2 (%)",
@@ -276,6 +306,7 @@ def build_error_table(results: Mapping[Configuration, SweepResult]) -> RenderedT
 
 def build_gap_table(results: Mapping[Configuration, SweepResult]) -> RenderedTable:
     """Second-minus-first relative-error gap rows with per-family means."""
+    _check_results(results)
     header = ("configuration", "second minus first (%)", "family mean (%)")
     rows: list[tuple[str, ...]] = []
     for ext in EXTERNAL_ERROR_ROWS:
@@ -307,6 +338,7 @@ def build_gap_table(results: Mapping[Configuration, SweepResult]) -> RenderedTab
 
 def build_summary_table(summary: GridSummary) -> RenderedTable:
     """Headline facts of a grid sweep as fact/value rows."""
+    _check_kind(summary, GridSummary, "summary must be a GridSummary")
     rows: list[tuple[str, str]] = []
     for config, name in summary.top_candidates:
         rows.append((f"top candidate: {config.label}", name))
@@ -341,6 +373,7 @@ def build_document_set(results: Mapping[Configuration, SweepResult]) -> dict[str
     comparison (table_27), the gap analysis (table_28) and the summary.
     Raises InvalidValue unless ``results`` holds all 24 configurations.
     """
+    _check_results(results)
     if len(results) != 24:
         raise InvalidValue(
             "document numbering expects the full builtin grid of 24 configurations, "
@@ -374,6 +407,7 @@ def write_document_set(
     """
     from pathlib import Path
 
+    _check_kind(outdir, (str, os.PathLike), "outdir must be a str or os.PathLike path")
     documents = build_document_set(run_builtin_grid(rates))
     documents["table_01"] = build_dataset_table(
         builtin_table(Unit.KILOMETERS), "Candidate distances in kilometers"

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .analysis import GapReport, RankingEntry, SolutionProfile, relative_error_percent, top_k
-from .core import MetricSpec, Profile, _Checked, _coerce, _real, _shown
+from .core import MetricSpec, Profile, _Checked, _check_kind, _coerce, _real, _shown
 from .dataset import DistanceTable
 from .errors import InvalidValue
 
@@ -72,14 +72,15 @@ class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows")):
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.title, str):
-            raise InvalidValue(f"a document title must be a string, got {_shown(self.title)}")
+        _check_kind(self.title, str, "a document title must be a string")
+        _check_kind(self.header, Sequence, "a document header must be a sequence of cells")
+        _check_kind(self.rows, Sequence, "document rows must be a sequence of rows")
         for row in self.rows:
+            _check_kind(row, Sequence, "a document row must be a sequence of cells")
             if len(row) != len(self.header):
                 raise InvalidValue("every row must match the header arity")
         for cell in chain(self.header, *self.rows):
-            if not isinstance(cell, str):
-                raise InvalidValue(f"a document cell must be a string, got {_shown(cell)}")
+            _check_kind(cell, str, "a document cell must be a string")
 
     def text(self, fmt: str = "md") -> str:
         """The table in ``fmt``, one of FORMATS; raises InvalidValue otherwise."""
@@ -130,6 +131,7 @@ class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows")):
 
 
 def build_dataset_table(table: DistanceTable, title: str) -> RenderedTable:
+    _check_kind(table, DistanceTable, "table must be a DistanceTable")
     header = ("locality",) + tuple(f"{r} ({table.unit.short})" for r in table.references)
     rows = tuple(
         (name,) + tuple(format_2dp(v) for v in values)
@@ -140,6 +142,9 @@ def build_dataset_table(table: DistanceTable, title: str) -> RenderedTable:
 
 def ranking_title(metric: MetricSpec, solution: SolutionProfile, table: DistanceTable) -> str:
     """Title of a ranking of ``table``'s candidates against ``solution``."""
+    _check_kind(metric, MetricSpec, "metric must be a MetricSpec")
+    _check_kind(solution, SolutionProfile, "solution must be a SolutionProfile")
+    _check_kind(table, DistanceTable, "table must be a DistanceTable")
     return (f"{metric.label} distances to the {solution.label} target "
             f"({table.unit.short}, {len(table.references)} references)")
 
@@ -154,6 +159,9 @@ def build_ranking_table(
     title: str,
 ) -> RenderedTable:
     """The target row (distance 0.00) followed by the k closest candidates."""
+    _check_kind(table, DistanceTable, "table must be a DistanceTable")
+    _check_kind(target, Profile, "target must be a Profile")
+    _check_kind(metric, MetricSpec, "metric must be a MetricSpec")
     header = (
         ("locality",)
         + tuple(f"{r} ({table.unit.short})" for r in table.references)
@@ -180,6 +188,8 @@ def build_error_listing(
     title: str,
 ) -> RenderedTable:
     """Top-k candidates with distances and relative errors for one metric."""
+    _check_kind(target, Profile, "target must be a Profile")
+    _check_kind(metric, MetricSpec, "metric must be a MetricSpec")
     header = ("rank", "locality", metric.column, "relative error (%)")
     rows = tuple(
         (
@@ -195,6 +205,7 @@ def build_error_listing(
 
 def build_gap_listing(gaps: GapReport, *, title: str) -> RenderedTable:
     """One family's per-metric top-two gap rows plus the mean row."""
+    _check_kind(gaps, GapReport, "gaps must be a GapReport")
     header = ("metric", "first", "error 1 (%)", "second", "error 2 (%)", "gap (%)")
     rows = [
         (

@@ -2,24 +2,31 @@
 
 Every public constructor and function of ``core``, ``dataset``,
 ``analysis``, ``report`` and ``paper`` that takes numbers, names, tokens,
-titles, cells or units gets mixed values in those places: strings, None,
-bools, complex numbers, nan, +-inf, huge ints and nested tuples, beside
-ordinary values; a document that ``report`` returns is also rendered.
-Parameters that take one of the package's own objects (a table, a target
-profile, a metric, a ranking) get a valid one, except in the structural
-cases, which pass mixed values, lists and rows of the wrong shape where a
-table, its rows, a target or a metric belongs.  A call must return or raise exactly ``InvalidValue`` or
-``ParseError``, the package's two data errors; any other exception is a
-traceback that a library caller would see.  Seeded (``derandomize``) and
-bounded, so every run checks the same cases.
+titles, cells, delimiters or units gets mixed values in those places:
+strings, None, bools, complex numbers, nan, +-inf, huge ints and nested
+tuples, beside ordinary values; a document that ``report`` returns is also
+rendered.  Parameters that take one of the package's own objects (a table, a
+target profile, a metric, a ranking) get a valid one, except in the
+structural cases, which pass mixed values, lists and rows of the wrong shape
+where a table, its rows, a target or a metric belongs.  Seeded
+(``derandomize``) and bounded, so every run checks the same cases.
+
+Beside the fuzzing, every public callable of the five modules' ``__all__``,
+and the public methods, is called with a value of the wrong kind in each
+operand position in turn (``KINDS``); a completeness gate keeps that table
+in step with ``__all__``.  Every call must return or raise exactly
+``InvalidValue`` or ``ParseError``, the package's two data errors; any other
+exception is a traceback that a library caller would see.
 """
 
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpmatch import analysis, core, dataset, paper, report
 from lpmatch.analysis import (
     CLASSIC_SOLUTION,
     SolutionProfile,
@@ -30,6 +37,7 @@ from lpmatch.analysis import (
     top_k,
 )
 from lpmatch.core import (
+    DEFAULT_RATES,
     ConversionRates,
     MetricSpec,
     Profile,
@@ -45,10 +53,21 @@ from lpmatch.dataset import (
     builtin_table,
     normalize_name,
     parse_table,
+    serialize_table,
     subset_references,
 )
 from lpmatch.errors import InvalidValue, LpmatchError, ParseError
-from lpmatch.paper import Configuration, sweep
+from lpmatch.paper import (
+    Configuration,
+    build_document_set,
+    build_error_table,
+    build_gap_table,
+    build_summary_table,
+    run_builtin_grid,
+    summarize_conclusions,
+    sweep,
+    write_document_set,
+)
 from lpmatch.report import (
     RenderedTable,
     build_dataset_table,
@@ -56,6 +75,7 @@ from lpmatch.report import (
     build_gap_listing,
     build_ranking_table,
     format_2dp,
+    ranking_title,
 )
 
 ODD = st.one_of(
@@ -74,6 +94,11 @@ TABLE = DistanceTable(Unit.KILOMETERS, ("a", "b"), [("X", (1.0, 2.0)), ("Y", (3.
 TARGET = Profile(("a", "b"), (2.0, 2.0), Unit.KILOMETERS)
 RANKING = rank_candidates(TABLE, TARGET, MetricSpec(1))
 GAPS = gap_report(TABLE, TARGET)
+JORNADAS = Profile(("a", "b"), (1.0, 2.0), Unit.JORNADAS)
+DOC = RenderedTable("t", ("a",), (("x",),))
+RESULTS = run_builtin_grid()
+SUMMARY = summarize_conclusions(RESULTS)
+M1 = MetricSpec(1)
 
 
 def returns_or_raises_a_data_error(call, draw):
@@ -109,6 +134,8 @@ CALLS = {
     "parse_table": lambda d: parse_table(d(MIXED), unit=d(st.one_of(st.just(Unit.HOURS), MIXED)),
                                          decimal=d(st.one_of(st.just("auto"), MIXED))),
     "subset_references": lambda d: subset_references(TABLE, d(st.lists(MIXED, max_size=2))),
+    "serialize_table": lambda d: serialize_table(
+        TABLE, delimiter=d(st.one_of(st.sampled_from([",", ";", "\t", "|", ";;"]), MIXED))),
     "convert": lambda d: convert(Profile(("a",), (1.0,), Unit.JORNADAS), d(MIXED),
                                  ConversionRates(d(MIXED), d(MIXED))),
     "magnitude": lambda d: magnitude(MetricSpec(d(MIXED)), TARGET),
@@ -264,7 +291,193 @@ class TruthlessNames:
     (lambda: subset_references(TABLE, TruthlessNames("a", "c")), r"^unknown reference 'c'$"),
     (lambda: builtin_table("km").row_values("Nowhere"), r"^unknown candidate 'Nowhere'$"),
     (lambda: builtin_table("km").row_values(None), r"^a name must be a string, got None$"),
+    # an operand of the wrong kind, wherever it is, is named in the message
+    (lambda: metric_distance(None, TARGET, TARGET), r"^spec must be a MetricSpec, got None$"),
+    (lambda: metric_distance(M1, None, TARGET), r"^x must be a Profile, got None$"),
+    (lambda: metric_distance(M1, TARGET, "y"), r"^y must be a Profile, got 'y'$"),
+    (lambda: convert(None, KM), r"^p must be a Profile, got None$"),
+    (lambda: convert(JORNADAS, "km"), r"^target must be a Unit, got 'km'$"),
+    (lambda: convert(JORNADAS, KM, None), r"^rates must be a ConversionRates, got None$"),
+    (lambda: magnitude(None, TARGET), r"^spec must be a MetricSpec, got None$"),
+    (lambda: magnitude(M1, None), r"^p must be a Profile, got None$"),
+    (lambda: relative_error_percent(1.0, None, M1), r"^target must be a Profile, got None$"),
+    (lambda: relative_error_percent(1.0, TARGET, "l1"),
+     r"^metric must be a MetricSpec, got 'l1'$"),
+    (lambda: subset_references(None, ["a"]), r"^table must be a DistanceTable, got None$"),
+    (lambda: top_k(None, 3), r"^ranking must be a sequence of RankingEntry, got None$"),
+    (lambda: top_k(["x"], 3), r"^a ranking entry must be a RankingEntry, got 'x'$"),
+    (lambda: serialize_table(None), r"^table must be a DistanceTable, got None$"),
+    (lambda: target_profile(None, KM), r"^solution must be a SolutionProfile, got None$"),
+    (lambda: target_profile(CLASSIC_SOLUTION, "km"), r"^unit must be a Unit, got 'km'$"),
+    (lambda: RenderedTable("t", None, ()),
+     r"^a document header must be a sequence of cells, got None$"),
+    (lambda: RenderedTable("t", ("a",), None),
+     r"^document rows must be a sequence of rows, got None$"),
+    (lambda: RenderedTable("t", ("a",), (None,)),
+     r"^a document row must be a sequence of cells, got None$"),
+    (lambda: build_dataset_table(None, "t"), r"^table must be a DistanceTable, got None$"),
+    (lambda: build_ranking_table(TABLE, None, RANKING, M1, title="t"),
+     r"^target must be a Profile, got None$"),
+    (lambda: build_error_listing(TARGET, RANKING, None, title="t"),
+     r"^metric must be a MetricSpec, got None$"),
+    (lambda: build_gap_listing(None, title="t"), r"^gaps must be a GapReport, got None$"),
+    (lambda: ranking_title(M1, None, TABLE), r"^solution must be a SolutionProfile, got None$"),
+    (lambda: sweep(("x",), (KM,), (REFERENCES,), (M1,)),
+     r"^a solution must be a SolutionProfile, got 'x'$"),
+    (lambda: sweep((CLASSIC_SOLUTION,), None, (REFERENCES,), (M1,)),
+     r"^units must be an iterable of Unit, got None$"),
+    (lambda: sweep((CLASSIC_SOLUTION,), (KM,), (REFERENCES,), ("l1",)),
+     r"^a metric must be a MetricSpec, got 'l1'$"),
+    (lambda: run_builtin_grid(None), r"^rates must be a ConversionRates, got None$"),
+    (lambda: summarize_conclusions([1]),
+     r"^results must be a mapping of Configuration to SweepResult, got \[1\]$"),
+    (lambda: build_error_table({1: 2}), r"^a results key must be a Configuration, got 1$"),
+    (lambda: build_gap_table({next(iter(RESULTS)): None}),
+     r"^a results value must be a SweepResult, got None$"),
+    (lambda: build_summary_table(None), r"^summary must be a GridSummary, got None$"),
+    (lambda: build_document_set(None),
+     r"^results must be a mapping of Configuration to SweepResult, got None$"),
+    (lambda: write_document_set(None), r"^outdir must be a str or os.PathLike path, got None$"),
+    (lambda: SolutionProfile("x", None), r"^solution jornadas must be a Profile, got None$"),
+    (lambda: TARGET.aligned_values(None),
+     r"^reference keys must be an iterable of names, got None$"),
+    (lambda: TABLE.aligned(None), r"^profile must be a Profile, got None$"),
+    (lambda: Configuration(None, KM, ("a",), M1),
+     r"^configuration solution must be a SolutionProfile, got None$"),
+    (lambda: Configuration(CLASSIC_SOLUTION, "km", ("a",), M1),
+     r"^configuration unit must be a Unit, got 'km'$"),
+    (lambda: Configuration(CLASSIC_SOLUTION, KM, ("a",), "l1"),
+     r"^configuration metric must be a MetricSpec, got 'l1'$"),
+    (lambda: serialize_table(TABLE, delimiter=";;"),
+     r"^delimiter must be a one-character string, got ';;'$"),
+    (lambda: serialize_table(TABLE, delimiter=None),
+     r"^delimiter must be a one-character string, got None$"),
+    (lambda: serialize_table(TABLE, delimiter=5),
+     r"^delimiter must be a one-character string, got 5$"),
 ])
 def test_wrong_types_raise_invalid_value_naming_the_field(call, message):
     with pytest.raises(InvalidValue, match=message):
         call()
+
+
+# valid operands by parameter name, and the names of the container operands
+Call = namedtuple("Call", "fn operands containers", defaults=((),))
+
+KINDS = {
+    "ConversionRates": Call(ConversionRates, {"km_per_jornada": 31.0, "hours_per_jornada": 10.0}),
+    "Profile": Call(Profile, {"names": ("a", "b"), "values": (1.0, 2.0), "unit": KM},
+                    ("names", "values")),
+    "Profile.select": Call(TARGET.select, {"names": ("b",)}, ("names",)),
+    "Profile.aligned_values": Call(TARGET.aligned_values, {"keys": ("a", "b")}, ("keys",)),
+    "MetricSpec": Call(MetricSpec, {"order": 2}),
+    "MetricSpec.parse": Call(MetricSpec.parse, {"token": "l2"}),
+    "MetricSpec.ln": Call(MetricSpec.ln, {"n": 2}),
+    "Unit.parse": Call(Unit.parse, {"token": "km"}),
+    "fold_name": Call(fold_name, {"name": "a"}),
+    "metric_distance": Call(metric_distance, {"spec": M1, "x": TARGET, "y": TARGET}),
+    "convert": Call(convert, {"p": JORNADAS, "target": KM, "rates": DEFAULT_RATES}),
+    "magnitude": Call(magnitude, {"spec": M1, "p": TARGET}),
+    "DistanceTable": Call(DistanceTable, {"unit": KM, "references": ("a", "b"),
+                                          "rows": [("X", (1.0, 2.0))]},
+                          ("references", "rows")),
+    "DistanceTable.aligned": Call(TABLE.aligned, {"profile": TARGET}),
+    "DistanceTable.row_values": Call(TABLE.row_values, {"candidate": "X"}),
+    "builtin_table": Call(builtin_table, {"which": "km"}),
+    "normalize_name": Call(normalize_name, {"raw": "a"}),
+    "parse_table": Call(parse_table, {"text": "name,a\nX,1\n", "unit": KM, "decimal": "auto"}),
+    "serialize_table": Call(serialize_table, {"table": TABLE, "delimiter": ","}),
+    "subset_references": Call(subset_references, {"table": TABLE, "keep": ("a",)}, ("keep",)),
+    "SolutionProfile": Call(SolutionProfile, {"label": "s", "jornadas": JORNADAS}),
+    "target_profile": Call(target_profile, {"solution": CLASSIC_SOLUTION, "unit": KM,
+                                            "references": REFERENCES, "rates": DEFAULT_RATES},
+                           ("references",)),
+    "rank_candidates": Call(rank_candidates, {"table": TABLE, "target": TARGET, "metric": M1}),
+    "top_k": Call(top_k, {"ranking": RANKING, "k": 1}, ("ranking",)),
+    "relative_error_percent": Call(relative_error_percent,
+                                   {"distance": 1.0, "target": TARGET, "metric": M1}),
+    "gap_report": Call(gap_report, {"table": TABLE, "target": TARGET}),
+    "RenderedTable": Call(RenderedTable, {"title": "t", "header": ("a",), "rows": (("x",),)},
+                          ("header", "rows")),
+    "RenderedTable.text": Call(DOC.text, {"fmt": "md"}),
+    "format_2dp": Call(format_2dp, {"x": 1.5}),
+    "ranking_title": Call(ranking_title, {"metric": M1, "solution": CLASSIC_SOLUTION,
+                                          "table": TABLE}),
+    "build_dataset_table": Call(build_dataset_table, {"table": TABLE, "title": "t"}),
+    "build_ranking_table": Call(build_ranking_table,
+                                {"table": TABLE, "target": TARGET, "ranking": RANKING,
+                                 "metric": M1, "k": 5, "title": "t"}, ("ranking",)),
+    "build_error_listing": Call(build_error_listing,
+                                {"target": TARGET, "ranking": RANKING, "metric": M1, "k": 3,
+                                 "title": "t"}, ("ranking",)),
+    "build_gap_listing": Call(build_gap_listing, {"gaps": GAPS, "title": "t"}),
+    "Configuration": Call(Configuration, {"solution": CLASSIC_SOLUTION, "unit": KM,
+                                          "references": ("a",), "metric": M1},
+                          ("references",)),
+    "sweep": Call(sweep, {"solutions": (CLASSIC_SOLUTION,), "units": (KM,),
+                          "reference_subsets": (REFERENCES,), "metrics": (M1,),
+                          "rates": DEFAULT_RATES},
+                  ("solutions", "units", "reference_subsets", "metrics")),
+    "run_builtin_grid": Call(run_builtin_grid, {"rates": DEFAULT_RATES}),
+    "summarize_conclusions": Call(summarize_conclusions, {"results": RESULTS}, ("results",)),
+    "build_error_table": Call(build_error_table, {"results": RESULTS}, ("results",)),
+    "build_gap_table": Call(build_gap_table, {"results": RESULTS}, ("results",)),
+    "build_summary_table": Call(build_summary_table, {"summary": SUMMARY}),
+    "build_document_set": Call(build_document_set, {"results": RESULTS}, ("results",)),
+    # run in a scratch working directory, where the wrong-kind "x" is a path
+    "write_document_set": Call(write_document_set,
+                               {"outdir": "docs", "fmt": "md", "rates": DEFAULT_RATES}),
+}
+
+# public callables of __all__ that KINDS leaves out, each with its reason
+RESULT_TYPE = "a named-tuple result, built by the package and trusted by kind"
+EXEMPT = {
+    "Unit": "an Enum lookup by value, whose misses raise the ValueError of every Enum",
+    "RankingEntry": RESULT_TYPE,
+    "GapRecord": RESULT_TYPE,
+    "GapReport": RESULT_TYPE,
+    "SweepResult": RESULT_TYPE,
+    "FamilyStats": RESULT_TYPE,
+    "GridSummary": RESULT_TYPE,
+    "ExternalResultRow": RESULT_TYPE,
+}
+METHODS = {"Profile.select", "Profile.aligned_values", "MetricSpec.parse", "MetricSpec.ln",
+           "Unit.parse", "DistanceTable.aligned", "DistanceTable.row_values",
+           "RenderedTable.text"}
+
+WRONG = (None, 1.5, "x", b"x", (), object())
+WRONG_CONTAINERS = WRONG + ([None], {None: None})
+
+
+def public_callables():
+    return {name for module in (core, dataset, analysis, report, paper)
+            for name in module.__all__ if callable(getattr(module, name))}
+
+
+def test_every_public_callable_has_a_kind_row():
+    public = public_callables()
+    assert set(EXEMPT) <= public
+    assert set(KINDS) == (public - set(EXEMPT)) | METHODS
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_the_valid_operands_give_a_result(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    call = KINDS[name]
+    call.fn(**call.operands)
+
+
+@pytest.mark.parametrize("name, operand", [
+    (name, operand) for name in sorted(KINDS) for operand in KINDS[name].operands
+])
+def test_an_operand_of_the_wrong_kind_gives_a_result_or_a_data_error(
+        name, operand, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    call = KINDS[name]
+    escaped = []
+    for wrong in WRONG_CONTAINERS if operand in call.containers else WRONG:
+        try:
+            call.fn(**{**call.operands, operand: wrong})
+        except Exception as exc:
+            if type(exc) not in (InvalidValue, ParseError):
+                escaped.append(f"{operand}={wrong!r}: {type(exc).__name__}: {exc}")
+    assert not escaped, escaped
