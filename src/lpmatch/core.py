@@ -27,9 +27,9 @@ non-ASCII digits; bytes-like text is read the same way.  Every operand that
 is not converted, one of the package's objects, a name or a cell, is checked
 on entry by the other helper, ``_check_kind``, whose InvalidValue has the
 same shape: "table must be a DistanceTable, got None".  The elements of a
-container operand are checked one by one; a named-tuple result is trusted
-by kind, its fields unchecked.  An operand handed on unchanged to another
-public function or checked record is checked there.
+container operand are checked one by one, by ``_elements``; a named-tuple
+result is trusted by kind, its fields unchecked.  An operand handed on
+unchanged to another public function or checked record is checked there.
 
 Every list of names a caller gives is read by ``_names``.  Each lookup folds
 its whole list to ``fold_name`` keys at once: the names, whitespace collapsed,
@@ -145,15 +145,21 @@ def _floats(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(map(_real, values))
 
 
+def _elements(values: Iterable, kind, requirement: str, element_requirement: str) -> tuple:
+    """``values``, a container operand, as a tuple whose every element is
+    checked to be a ``kind``; ``requirement`` is that of the container."""
+    values = _coerce(tuple, values, requirement)
+    for value in values:
+        _check_kind(value, kind, element_requirement)
+    return values
+
+
 def _names(names: Iterable[str], requirement: str) -> tuple[str, ...]:
     """``names`` as a tuple of strings.  A bare string, which would iterate
     as one-letter names, raises InvalidValue as a non-iterable does."""
     if isinstance(names, str):
         raise InvalidValue(f"{requirement}, got {_shown(names)}")
-    names = _coerce(tuple, names, requirement)
-    for name in names:
-        _check_kind(name, str, "a name must be a string")
-    return names
+    return _elements(names, str, requirement, "a name must be a string")
 
 
 @lru_cache(maxsize=4096)

@@ -31,7 +31,8 @@ from .analysis import (
     target_profile,
 )
 from .core import (
-    DEFAULT_RATES, ConversionRates, MetricSpec, Unit, _Checked, _check_kind, _coerce, _names,
+    DEFAULT_RATES, ConversionRates, MetricSpec, Unit, _Checked, _check_kind, _coerce, _elements,
+    _names,
 )
 from .dataset import REFERENCES, builtin_table, subset_references
 from .errors import InvalidValue
@@ -119,11 +120,14 @@ def sweep(
     always computed over the standard L_inf/L_1/L_2 family.  Each result
     also carries the family's restricted built-in table and converted target.
     """
-    solutions = _elements(solutions, SolutionProfile, "solutions", "a solution")
-    units = _elements(units, Unit, "units", "a unit")
+    solutions = _elements(solutions, SolutionProfile,
+                          "solutions must be an iterable of SolutionProfile",
+                          "a solution must be a SolutionProfile")
+    units = _elements(units, Unit, "units must be an iterable of Unit", "a unit must be a Unit")
     reference_subsets = _coerce(tuple, reference_subsets,
                                 "reference subsets must be an iterable of lists of names")
-    metrics = _elements(metrics, MetricSpec, "metrics", "a metric")
+    metrics = _elements(metrics, MetricSpec, "metrics must be an iterable of MetricSpec",
+                        "a metric must be a MetricSpec")
     _check_kind(rates, ConversionRates, "rates must be a ConversionRates")
     results: dict[Configuration, SweepResult] = {}
     for solution in solutions:
@@ -139,14 +143,6 @@ def sweep(
                     results[config] = SweepResult(ranking, errors, family_gaps,
                                                   restricted, target)
     return results
-
-
-def _elements(values, kind: type, plural: str, singular: str) -> tuple:
-    """``values`` as a tuple of ``kind`` instances, each checked."""
-    values = _coerce(tuple, values, f"{plural} must be an iterable of {kind.__name__}")
-    for value in values:
-        _check_kind(value, kind, f"{singular} must be a {kind.__name__}")
-    return values
 
 
 GRID_REFERENCE_SUBSETS = (REFERENCES, REFERENCES[:3])  # with and without Munera
