@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .core import (
     DEFAULT_RATES, ConversionRates, MetricSpec, Unit, _Checked, _check_kind, _coerce, _elements,
-    _names,
+    _names, _shown,
 )
 from .dataset import REFERENCES, builtin_table, subset_references
 from .errors import InvalidValue
@@ -398,12 +398,17 @@ def write_document_set(
     Emits the two dataset documents (table_01, table_05) and the result
     documents of ``build_document_set``, each rendered in ``fmt``.  Every
     document is rendered before ``outdir`` is created, so an unknown format
-    raises InvalidValue before anything is written.  Returns the written
-    paths, as ``pathlib.Path`` objects, in name order.
+    raises InvalidValue before anything is written.  ``outdir`` is read once,
+    on entry: a path that is not text, is empty (which would name the current
+    directory) or holds a NUL raises InvalidValue before the grid runs.
+    Returns the written paths, as ``pathlib.Path`` objects, in name order.
     """
     from pathlib import Path
 
-    _check_kind(outdir, (str, os.PathLike), "outdir must be a str or os.PathLike path")
+    path = _coerce(os.fspath, outdir, "outdir must be a str or os.PathLike path")
+    _check_kind(path, str, "outdir must be a str or os.PathLike path")
+    if not path or "\0" in path:
+        raise InvalidValue(f"outdir must be a non-empty path without NUL, got {_shown(path)}")
     documents = build_document_set(run_builtin_grid(rates))
     documents["table_01"] = build_dataset_table(
         builtin_table(Unit.KILOMETERS), "Candidate distances in kilometers"
@@ -412,7 +417,7 @@ def write_document_set(
         builtin_table(Unit.HOURS), "Candidate distances in hours"
     )
     texts = [(stem, documents[stem].text(fmt)) for stem in sorted(documents)]
-    outdir = Path(outdir)
+    outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for stem, text in texts:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import chain
 
 from .analysis import GapReport, RankingEntry, SolutionProfile, relative_error_percent, top_k
@@ -39,31 +38,31 @@ FORMATS = ("md", "csv", "jsonl")
 TARGET_LABEL = "LUGAR DE LA MANCHA"
 
 
-@lru_cache(maxsize=None)
-def _cent_rounding():
-    """``Decimal``, the cent and the context that rounds to it.
-
-    Made on first use, so that importing the module loads no ``decimal``.
-    Two decimals of the largest finite double take 311 significant digits.
-    The rounding uses this context alone, so the caller's decimal context
-    (its traps, precision and exponent limits) never changes or breaks the
-    text.
-    """
-    from decimal import ROUND_HALF_UP, Context, Decimal
-
-    return Decimal, Decimal("0.01"), Context(prec=320, rounding=ROUND_HALF_UP)
-
-
 def format_2dp(x: float) -> str:
     """Two-decimal display form, ties rounded away from zero.
 
+    The text is ``repr(value)``, the shortest text that reads back as the
+    value, rounded to cents in integer arithmetic: ``-0.0`` gives ``-0.00``
+    and ``1e+23`` gives the repr's digits, ``100000000000000000000000.00``.
     Raises InvalidValue unless ``x`` is a finite real number (or its text).
     """
     value = _coerce(_real, x, "a value to format must be a real number")
     if not math.isfinite(value):
         raise InvalidValue(f"a value to format must be finite, got {_shown(x)}")
-    decimal, cent, context = _cent_rounding()
-    return str(decimal(repr(value)).quantize(cent, context=context))
+    text = repr(value)
+    sign = "-" if text[0] == "-" else ""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    dropped_digits = len(fraction) - 2 - int(exponent or 0)  # beyond the cents
+    cents = int(whole + fraction)
+    if dropped_digits > 0:
+        scale = 10**dropped_digits
+        cents, dropped = divmod(cents, scale)
+        cents += 2 * dropped >= scale
+    else:
+        cents *= 10**-dropped_digits
+    units, cents = divmod(cents, 100)
+    return f"{sign}{units}.{cents:02d}"
 
 
 class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows")):

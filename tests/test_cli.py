@@ -352,6 +352,15 @@ class TestReproduceCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_an_empty_outdir_exits_1_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # Path("") is the current directory, which must not receive the documents
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, "reproduce", "--outdir", "")
+        assert code == 1
+        assert out == ""
+        assert err == "error: outdir must be a non-empty path without NUL, got ''\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOverflowInputs:
     """Finite inputs beyond what a double holds end in a result or a clean error."""

@@ -3,10 +3,11 @@
 ``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``), ``json``, ``typing``, ``pathlib``, ``decimal`` and ``csv`` cost
 start-up time in every ``lpmatch`` process.  The records are
-``collections.namedtuple`` classes, and ``json``, ``pathlib``, ``decimal``
-and ``csv`` are imported by the code that needs them, so a fresh
-interpreter that imports ``lpmatch.cli`` or ``lpmatch.paper`` loads none of
-them, and parsing a table without quotes leaves ``csv`` unloaded.  Nor does
+``collections.namedtuple`` classes, ``format_2dp`` rounds in integer
+arithmetic, and ``json``, ``pathlib`` and ``csv`` are imported by the code
+that needs them, so a fresh interpreter that imports ``lpmatch.cli`` or
+``lpmatch.paper`` loads none of them, no command ever loads ``decimal``, and
+parsing a table without quotes leaves ``csv`` unloaded.  Nor does
 ``import lpmatch`` or ``import lpmatch.cli`` load ``lpmatch.paper``, the
 paper's grid and documents: the package resolves those names on first use.
 Both interpreters of a comparison run with ``-S``, so modules that a
@@ -74,6 +75,26 @@ def test_a_quote_free_table_parses_without_csv():
             "print(quoted.candidates, 'csv' in sys.modules,\n"
             "      csv.field_size_limit() == dataset._FIELD_SIZE_LIMIT)")
     assert run_clean(code).split("\n")[:2] == ["2 False", "('X;Y',) True True"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--format", "md"], ["sweep", "--format", "csv"], ["sweep", "--format", "jsonl"],
+    ["reproduce", "--format", "md"], ["reproduce", "--format", "csv"],
+    ["reproduce", "--format", "jsonl"], ["rank"], ["errors"], ["gaps"],
+], ids=" ".join)
+def test_no_command_loads_decimal(argv, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("name,a,b\nX,31.5,62\nY,40,50.25\nZ,12.125,90\n", encoding="utf-8")
+    if argv[0] == "reproduce":
+        argv = argv + ["--outdir", str(tmp_path / "docs")]
+    elif argv[0] != "sweep":
+        argv = argv + ["--data", str(data), "--solution", "1,2"]
+    code = ("import sys\n"
+            "from lpmatch.cli import run\n"
+            f"code = run({argv!r})\n"
+            "print()\n"
+            "print(code, 'decimal' in sys.modules)")
+    assert run_clean(code).splitlines()[-1] == "0 False"
 
 
 def test_package_import_loads_no_paper():

@@ -20,6 +20,7 @@ exception is a traceback that a library caller would see.
 """
 
 import math
+import os
 from collections import namedtuple
 
 import pytest
@@ -358,6 +359,28 @@ class TruthlessNames:
 def test_wrong_types_raise_invalid_value_naming_the_field(call, message):
     with pytest.raises(InvalidValue, match=message):
         call()
+
+
+class BytesPath(os.PathLike):
+    """A path whose ``__fspath__`` gives bytes, which ``pathlib`` refuses."""
+
+    def __fspath__(self):
+        return b"docs"
+
+
+@pytest.mark.parametrize("outdir, message", [
+    ("a\x00b", r"^outdir must be a non-empty path without NUL, got 'a\\x00b'$"),
+    (BytesPath(), r"^outdir must be a str or os.PathLike path, got b'docs'$"),
+    ("", r"^outdir must be a non-empty path without NUL, got ''$"),
+])
+def test_an_outdir_that_names_no_directory_is_refused_before_the_grid(
+        outdir, message, monkeypatch, tmp_path):
+    # "" would name the current directory, so run where a wrong write shows
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(paper, "run_builtin_grid", lambda rates: pytest.fail("the grid ran"))
+    with pytest.raises(InvalidValue, match=message):
+        write_document_set(outdir)
+    assert list(tmp_path.iterdir()) == []
 
 
 # valid operands by parameter name, and the names of the container operands
