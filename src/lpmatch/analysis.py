@@ -17,8 +17,12 @@ differences are >= 0, so a row's L2 is at most sqrt(R) times its largest
 difference, which is at most any of its Lp distances.  While sqrt(R) times
 the largest distance stays below half the largest double no L2 can overflow,
 and only the tied rows get one; beyond that every row does, and that one
-pass is both the tie-break and the overflow check.  So rankings, tie order
-and errors are the ones a full L2 pass gives.
+pass is both the tie-break and the overflow check.  An L2 ranking's tied
+rows have their distance as their L2, so it makes no second pass.  So
+rankings, tie order and errors are the ones a full L2 pass gives.  The sort
+orders the table's own row ordinals (``DistanceTable`` builds 0..n once, and
+its subsets share them), and the entries take their ranks from the same
+tuple, so a ranking makes no int per row.
 ``gap_report`` and the paper grid's ``sweep`` (see ``paper``) rank a family
 of metrics from one set of differences, each metric breaking its own ties in
 the same way.  A distance or relative error that is not a finite double
@@ -31,7 +35,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import compress, count, islice, repeat
+from itertools import compress, islice, repeat
 from operator import eq, index
 
 from .core import (
@@ -139,12 +143,12 @@ def _rankings(
     """The ranking of ``table`` under each of ``metrics``, in that order.
 
     The |column - goal| differences are built once and shared by every
-    metric.  Each ranking sorts the rows on their distances, then re-sorts
-    the rows whose distance is tied by (distance, L2, name), with the L2 of
-    those rows only; beyond the overflow bound it re-sorts every row, and
-    that L2 pass is also the overflow check.  The InvalidValue of an
-    overflow names the metric that ``rank_candidates`` would name for the
-    first of ``metrics`` to meet one.
+    metric.  Each ranking sorts the table's row ordinals on their distances,
+    then re-sorts the rows whose distance is tied by (distance, L2, name),
+    with the L2 of those rows only (an L2 ranking's own distances); beyond
+    the overflow bound it re-sorts every row, and that L2 pass is also the
+    overflow check.  The InvalidValue of an overflow names the metric that
+    ``rank_candidates`` would name for the first of ``metrics`` to meet one.
     """
     if target.unit is not table.unit:
         raise InvalidValue(
@@ -155,28 +159,33 @@ def _rankings(
     # these about twice as fast as map(abs, map(sub, column, repeat(g)))
     diffs = [[abs(v - g) for v in column] for column, g in zip(table.value_columns, goal)]
     names = table.candidates
+    ordinals = table._ordinals  # 0..n, shared with the table's subsets
+    every_row = ordinals[:-1]
     rankings = {}
     for metric in metrics:
         try:
             distances = _norms(metric, diffs)
-            order = sorted(range(len(distances)), key=distances.__getitem__)  # float keys, stable
+            order = sorted(every_row, key=distances.__getitem__)  # float keys, stable
             ordered = list(map(distances.__getitem__, order))
             # every Lp distance of a row, L_inf included, is at least its
             # largest difference, and its L2 at most sqrt(R) times that
             if ordered[-1] * math.sqrt(len(diffs)) < _L2_SAFE:
                 # the positions in ``order`` of every row whose distance
                 # equals a neighbour's, ascending
-                tied = list(compress(count(), map(eq, ordered, islice(ordered, 1, None))))
+                tied = list(compress(ordinals, map(eq, ordered, islice(ordered, 1, None))))
                 positions = sorted({*tied, *(position + 1 for position in tied)})
             else:
-                positions = range(len(order))  # every row, so no L2 overflow goes unseen
+                positions = every_row  # every position, so no L2 overflow goes unseen
             if positions:
                 # re-sorting these rows by (distance, L2, name) orders each
                 # run of equal distances within its own positions
                 rows = list(map(order.__getitem__, positions))
-                l2 = _norms(_L2, [list(map(column.__getitem__, rows)) for column in diffs])
-                keyed = sorted(zip(map(ordered.__getitem__, positions), l2,
-                                   map(names.__getitem__, rows), rows))
+                position_distances = list(map(ordered.__getitem__, positions))
+                # an L2 ranking's tie-break is its own distances, which its
+                # distance pass has already checked for overflow
+                l2 = position_distances if metric == _L2 else _norms(
+                    _L2, [list(map(column.__getitem__, rows)) for column in diffs])
+                keyed = sorted(zip(position_distances, l2, map(names.__getitem__, rows), rows))
                 for position, (_, _, _, row) in zip(positions, keyed):
                     order[position] = row
         except InvalidValue:
@@ -187,8 +196,9 @@ def _rankings(
                 _norm(_L2, row)
             raise
         # tuple.__new__ builds each entry as RankingEntry(name, distance, rank)
-        # would, without a Python-level __new__ call per candidate
-        fields = zip(map(names.__getitem__, order), ordered, count(1))
+        # would, without a Python-level __new__ call per candidate; the ranks
+        # 1..n are the table's own ordinals, not new ints
+        fields = zip(map(names.__getitem__, order), ordered, ordinals[1:])
         rankings[metric] = list(map(tuple.__new__, repeat(RankingEntry), fields))
     return rankings
 

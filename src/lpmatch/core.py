@@ -9,13 +9,17 @@ Distances are computed in double precision; rounding happens only at display
 time.  Every metric is bit-exact under permutation of the input entries:
 L_inf takes a maximum, L1 and the inner sum of Ln use the correctly rounded
 ``math.fsum``, and L2, whose ``math.hypot`` depends on input order, reduces
-each row's differences in canonical (descending) order.  Aligning by name is
-separate from that reduction, so a ranking aligns its table with the target
-once and reduces whole columns of differences at a time.  The L2 that breaks
-a ranking's distance ties goes through the same batch reducer, given the
-columns of the tied rows only; the rankings are unchanged by that (see
-``analysis``).  A distance that is not a finite double (finite inputs whose
-L1, L2 or Ln total exceeds the largest double) raises InvalidValue.
+each row's differences in canonical (descending) order.  The maximum of
+L_inf, and the peak that scales Ln, is reduced one column at a time, each
+row's running peak against the next column's difference; differences are
+finite and >= 0, so that is the same double as ``max`` over the row.
+Aligning by name is separate from that reduction, so a ranking aligns its
+table with the target once and reduces whole columns of differences at a
+time.  The L2 that breaks a ranking's distance ties goes through the same
+batch reducer, given the columns of the tied rows only; the rankings are
+unchanged by that (see ``analysis``).  A distance that is not a finite
+double (finite inputs whose L1, L2 or Ln total exceeds the largest double)
+raises InvalidValue.
 
 Every value a public constructor or function is given is converted through
 one helper, ``_coerce``: a value of the wrong type (a string, None, a
@@ -401,13 +405,20 @@ def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]]) -> list[float]:
     """Lp norm of each row of ``columns``.
 
     ``columns`` holds one equal-length sequence of non-negative differences
-    per reference.  Whole columns are reduced with C-level builtins, so the
-    interpreter's cost is paid per column, not per row.  Raises InvalidValue
-    when a norm is not a finite double.
+    per reference.  Whole columns are reduced with C-level builtins or one
+    comprehension per column, so no Python function is called per row.
+    Raises InvalidValue when a norm is not a finite double.
     """
     n = spec.order
     if n is None or n > 2:
-        peaks = list(map(max, *columns)) if len(columns) > 1 else list(columns[0])
+        # each row's largest difference, one column at a time: the float
+        # comparison in a comprehension, which CPython 3.11 specializes, is
+        # cheaper per row than a max(*row) call (3.13's vectorcall max is
+        # about as fast); ties keep the earlier value, as max does, and the
+        # differences are never nan
+        peaks = list(columns[0])
+        for column in columns[1:]:
+            peaks = [p if p >= d else d for p, d in zip(peaks, column)]
         if n is None:
             return peaks
     try:

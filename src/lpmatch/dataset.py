@@ -7,7 +7,9 @@ one in hours.  Values are embedded verbatim at two decimals.
 
 A ``DistanceTable`` stores its values by column, one value tuple per
 reference, so that rankings reduce whole columns and a reference subset picks
-columns without copying rows.
+columns without copying rows.  It also holds its row ordinals 0..n, built
+once and shared by every subset, which a ranking sorts and numbers its
+entries from without making new ints.
 
 ``parse_table`` loads column by column too, by one of two paths.  A text
 without '"', '\\r' or NUL, none of whose lines is longer than csv's field
@@ -178,6 +180,7 @@ class DistanceTable:
         self._candidates = candidates
         self._columns = columns
         self._index = index
+        self._ordinals = tuple(range(len(candidates) + 1))  # 0..n, read by rankings
 
     def _project(self, indices: Sequence[int]) -> "DistanceTable":
         """The table restricted to the columns at ``indices``, without re-validating."""
@@ -188,6 +191,7 @@ class DistanceTable:
         table._candidates = self._candidates
         table._columns = tuple(self._columns[i] for i in indices)  # tuples are shared
         table._index = self._index  # never mutated, so it can be shared
+        table._ordinals = self._ordinals
         return table
 
     @property

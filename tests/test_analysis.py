@@ -223,8 +223,8 @@ class TestTieBreakOverflow:
         with pytest.raises(InvalidValue, match=f"^the {named} distance exceeds the largest"):
             sweep((CLASSIC_SOLUTION,), (Unit.KILOMETERS,), (REFERENCES,), (metric,), rates=rates)
 
-    @pytest.mark.parametrize("metric", [LINF, L1, MetricSpec.ln(3), None],
-                             ids=["linf", "l1", "l3", "gap_report"])
+    @pytest.mark.parametrize("metric", [LINF, L1, L2, MetricSpec.ln(3), None],
+                             ids=["linf", "l1", "l2", "l3", "gap_report"])
     def test_only_tied_rows_get_an_l2_below_the_bound(self, metric, monkeypatch):
         big = DBL_MAX / 20  # sqrt(4) * every distance stays below DBL_MAX / 2
         table = four_column_table((big, big, 1.0, 1.0), (1.0, big, big, big), (big,) * 4,
@@ -239,23 +239,27 @@ class TestTieBreakOverflow:
         monkeypatch.setattr(analysis, "_norms", recorded)
         if metric is None:
             # a family ranks L_inf, L_1 and L_2 in turn, each breaking its
-            # own ties; the target is off zero so that it has a magnitude
+            # own ties, L_2 with its own distances; the target is off zero so
+            # that it has a magnitude
             target = Profile(FOUR, (1.0,) * 4, Unit.KILOMETERS)
             records = gap_report(table, target).records
-            assert reduced == [("linf", 5), ("l2", 5), ("l1", 5), ("l2", 2),
-                               ("l2", 5), ("l2", 2)]
+            assert reduced == [("linf", 5), ("l2", 5), ("l1", 5), ("l2", 2), ("l2", 5)]
             assert [(r.first, r.second) for r in records] == [("R3", "R4")] * 3
             return
         names = [name for name, _ in ranked(table, metric)]
-        tied = {"linf": 5, "l1": 2, "l3": 2}[metric.token]  # R0-R2 tie under L_inf
-        assert reduced == [(metric.token, 5), ("l2", tied)]
+        if metric == L2:  # its tied rows' L2 is their distance
+            assert reduced == [("l2", 5)]
+        else:
+            tied = {"linf": 5, "l1": 2, "l3": 2}[metric.token]  # R0-R2 tie under L_inf
+            assert reduced == [(metric.token, 5), ("l2", tied)]
         assert names == ["R3", "R4", "R0", "R1", "R2"]
 
-    @pytest.mark.parametrize("metric", [LINF, L1, MetricSpec.ln(3), None],
-                             ids=["linf", "l1", "l3", "gap_report"])
+    @pytest.mark.parametrize("metric", [LINF, L1, L2, MetricSpec.ln(3), None],
+                             ids=["linf", "l1", "l2", "l3", "gap_report"])
     def test_every_row_gets_one_l2_above_the_bound(self, metric, monkeypatch):
         # sqrt(4) * DBL_MAX / 3 crosses DBL_MAX / 2, yet no L2 overflows; the
-        # one full-table L2 pass is both the tie-break and the overflow check
+        # one full-table L2 pass is both the tie-break and the overflow check,
+        # and an L2 ranking's own distance pass is that pass
         third = DBL_MAX / 3
         table = four_column_table((third, 1.0, 1.0, 1.0), (1.0, third, 1.0, 1.0),
                                   (third, 1.0, 1.0, 1.0), (2.0,) * 4, (2.0,) * 4)
@@ -270,12 +274,11 @@ class TestTieBreakOverflow:
         monkeypatch.setattr(analysis, "_norms", recorded)
         if metric is None:
             records = gap_report(table, target).records
-            assert reduced == [("linf", 5), ("l2", 5), ("l1", 5), ("l2", 5),
-                               ("l2", 5), ("l2", 5)]
+            assert reduced == [("linf", 5), ("l2", 5), ("l1", 5), ("l2", 5), ("l2", 5)]
             assert [(r.first, r.second) for r in records] == [("R3", "R4")] * 3
             return
         names = [e.candidate for e in rank_candidates(table, target, metric)]
-        assert reduced == [(metric.token, 5), ("l2", 5)]
+        assert reduced == [(metric.token, 5)] + [("l2", 5)] * (metric != L2)
         assert names == ["R3", "R4", "R0", "R1", "R2"]
 
     @pytest.mark.parametrize("metric", [LINF, L1, L2, MetricSpec.ln(3)],

@@ -18,12 +18,13 @@ from lpmatch.analysis import (
     GapRecord,
     GapReport,
     RankingEntry,
+    _rank_family,
     gap_report,
     rank_candidates,
     relative_error_percent,
 )
 from lpmatch.core import MetricSpec, Profile, Unit, metric_distance
-from lpmatch.dataset import DistanceTable
+from lpmatch.dataset import DistanceTable, parse_table, subset_references
 
 METRICS = (MetricSpec.infinity(), MetricSpec.ln(1), MetricSpec.ln(2), MetricSpec.ln(3))
 
@@ -239,6 +240,41 @@ def test_tie_heavy_rankings_match_the_sorted_triple_oracle(metric, data):
     )
     expected = [RankingEntry(name, dist, pos + 1) for pos, (dist, _, name) in enumerate(scored)]
     assert rank_candidates(table, target, metric) == expected
+
+
+@given(data=tie_heavy_tables_and_targets())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_every_ranking_numbers_its_entries_1_to_n(data):
+    """The ranks, taken from the table's row ordinals, are 1..n in order,
+    in one-metric rankings and in a family's shared pass alike."""
+    table, target = data
+    metrics = METRICS + (MetricSpec.ln(40),)
+    family = _rank_family(table, target, metrics)[0]
+    for metric in metrics:
+        for ranking in (rank_candidates(table, target, metric), family[metric]):
+            assert [e.rank for e in ranking] == list(range(1, len(table) + 1))
+
+
+@given(data=tie_heavy_tables_and_targets(), keep=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_a_subset_ranks_as_a_freshly_parsed_table_with_its_columns(data, keep):
+    """A subset shares its parent's row ordinals; its rankings, ranks 1..n
+    included, are those of a table parsed from just the kept columns."""
+    table, target = data
+    kept = keep.draw(st.lists(st.sampled_from(table.references), min_size=1, unique=True))
+    columns = [i for i, ref in enumerate(table.references) if ref in kept]
+    lines = [",".join(["name", *(table.references[i] for i in columns)])]
+    for name, values in zip(table.candidates, table.value_rows):
+        lines.append(",".join([name, *(repr(values[i]) for i in columns)]))
+    fresh = parse_table("\n".join(lines) + "\n", unit=table.unit)
+    sub = subset_references(table, kept)
+    goal = target.select(kept)
+    for metric in METRICS + (MetricSpec.ln(40),):
+        ranking = rank_candidates(sub, goal, metric)
+        assert [e.rank for e in ranking] == list(range(1, len(table) + 1))
+        assert [(e.candidate, e.distance.hex(), e.rank) for e in ranking] == \
+            [(e.candidate, e.distance.hex(), e.rank)
+             for e in rank_candidates(fresh, goal, metric)]
 
 
 @given(data=tie_heavy_tables_and_targets())

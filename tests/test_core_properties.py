@@ -3,16 +3,27 @@
 Profile values are drawn from the 0.01 grid in [0, 200], mirroring the
 resolution of the real data; exact ties are therefore common and exercise
 the tie-sensitive code paths.  The batch reducer is also checked on
-differences up to 1.7e308, where norms overflow.
+differences up to 1.7e308, where norms overflow, and its row peaks (the
+L_inf distance and the scale of Ln) against a ``max(*row)`` reference.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpmatch.core import MetricSpec, Profile, Unit, _norm, _norms, convert, metric_distance
+from lpmatch.core import (
+    MetricSpec,
+    Profile,
+    Unit,
+    _TINY,
+    _norm,
+    _norms,
+    convert,
+    metric_distance,
+)
 from lpmatch.errors import InvalidValue
 
 METRICS = [MetricSpec.infinity()] + [MetricSpec.ln(n) for n in (1, 2, 3, 4, 5)]
@@ -188,3 +199,49 @@ def test_batch_reducer_equals_a_per_row_oracle(order, data):
     else:
         assert _norms(spec, columns) == expected
         assert [_norm(spec, row) for row in rows] == expected
+
+
+DBL_MAX = sys.float_info.max
+
+
+def max_row_norm(order, row):
+    """One row's L_inf or Ln (n >= 3) norm, with the row's peak taken by
+    ``max(*row)`` and the rest of the arithmetic as ``_norms`` does it;
+    math.inf when it is not a finite double."""
+    peak = max(*row) if len(row) > 1 else row[0]
+    if order is None:
+        return peak
+    divisor = max(peak, _TINY)
+    return peak * math.fsum((d / divisor) ** float(order) for d in row) ** (1.0 / order)
+
+
+@st.composite
+def peak_columns(draw):
+    """Rows drawn from a few values, so that zeros and repeated values are
+    common, plus values up to and next to the largest double."""
+    n_refs = draw(st.integers(min_value=1, max_value=6))
+    n_rows = draw(st.integers(min_value=1, max_value=10))
+    value = st.one_of(
+        st.sampled_from((0.0, 0.0, 1.0, 2.5, 2.5, 5e-324, DBL_MAX,
+                         math.nextafter(DBL_MAX, 0.0), DBL_MAX / 2)),
+        st.integers(min_value=0, max_value=20000).map(lambda k: k / 100.0),
+        st.floats(min_value=0.0, max_value=DBL_MAX),
+    )
+    rows = [draw(st.lists(value, min_size=n_refs, max_size=n_refs)) for _ in range(n_rows)]
+    return rows, [[row[i] for row in rows] for i in range(n_refs)]
+
+
+@pytest.mark.parametrize("order", [None, 3, 40], ids=["linf", "l3", "l40"])
+@given(peak_columns())
+@settings(max_examples=300, deadline=None)
+def test_row_peaks_equal_a_max_reference(order, data):
+    """The peaks reduced one column at a time are the doubles that max(*row)
+    gives, so every L_inf and Ln result is bit for bit the reference's."""
+    rows, columns = data
+    expected = [max_row_norm(order, row) for row in rows]
+    spec = MetricSpec(order)
+    if math.inf in expected:
+        with pytest.raises(InvalidValue, match=f"the {spec.token} distance"):
+            _norms(spec, columns)
+    else:
+        assert [x.hex() for x in _norms(spec, columns)] == [x.hex() for x in expected]

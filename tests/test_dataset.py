@@ -295,6 +295,17 @@ class TestColumnStorage:
         assert self.TABLE.__eq__(self.TABLE.value_rows) is NotImplemented
         assert self.TABLE != self.TABLE.value_rows
 
+    def test_row_built_and_parsed_tables_carry_their_ordinals(self):
+        # rankings sort these row ordinals and number their entries from them
+        assert self.TABLE._ordinals == (0, 1, 2)
+        parsed = parse_table("name,a\nX,1.5\nY,2\nZ,3\n", unit=Unit.HOURS)
+        assert parsed._ordinals == (0, 1, 2, 3)
+        assert builtin_table("km")._ordinals == tuple(range(25))
+
+    def test_a_subset_shares_its_parents_ordinals(self):
+        sub = subset_references(self.TABLE, ("C", "a"))
+        assert sub._ordinals is self.TABLE._ordinals
+
 
 class TestDistanceTableValidation:
     def test_wrong_arity(self):
