@@ -411,11 +411,11 @@ def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]]) -> list[float]:
     """
     n = spec.order
     if n is None or n > 2:
-        # each row's largest difference, one column at a time: the float
-        # comparison in a comprehension, which CPython 3.11 specializes, is
-        # cheaper per row than a max(*row) call (3.13's vectorcall max is
-        # about as fast); ties keep the earlier value, as max does, and the
-        # differences are never nan
+        # each row's largest difference, one column at a time: for a few
+        # references the float comparison in a comprehension, which CPython
+        # 3.11 specializes, is cheaper than a max(*row) call per row; for
+        # many references, and under 3.13's vectorcall max, it costs more.
+        # Ties keep the earlier value, as max does; differences are never nan
         peaks = list(columns[0])
         for column in columns[1:]:
             peaks = [p if p >= d else d for p, d in zip(peaks, column)]
