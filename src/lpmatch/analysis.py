@@ -150,11 +150,7 @@ def _rankings(
     overflow check.  The InvalidValue of an overflow names the metric that
     ``rank_candidates`` would name for the first of ``metrics`` to meet one.
     """
-    if target.unit is not table.unit:
-        raise InvalidValue(
-            f"target is in {target.unit.value} but the table is in {table.unit.value}"
-        )
-    goal = table.aligned(target)
+    goal = table.aligned(target)  # InvalidValue unless in its unit and references
     # a comprehension, which CPython 3.11 specializes for floats, builds
     # these about twice as fast as map(abs, map(sub, column, repeat(g)))
     diffs = [[abs(v - g) for v in column] for column, g in zip(table.value_columns, goal)]

@@ -48,7 +48,6 @@ import unicodedata
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from functools import lru_cache
 from itertools import repeat, starmap
 from operator import mul, neg, truediv
 
@@ -166,16 +165,6 @@ def _names(names: Iterable[str], requirement: str) -> tuple[str, ...]:
     return _elements(names, str, requirement, "a name must be a string")
 
 
-@lru_cache(maxsize=4096)
-def _unmarked(char: str) -> str:
-    """What a non-ASCII character of a folded key becomes: "i" for the
-    dotless ı, as its title case I folds, nothing for a combining mark, the
-    character itself otherwise."""
-    if char == "ı":
-        return "i"
-    return "" if unicodedata.combining(char) else char
-
-
 _ASCII = frozenset(map(chr, range(128)))
 
 # folded alternate spelling -> folded name: "Fuencollana" is an accepted
@@ -198,7 +187,9 @@ def _folded(text: str) -> str:
         return text.lower()
     text = unicodedata.normalize("NFKD", text.casefold())
     for char in set(text) - _ASCII:
-        kept = _unmarked(char)
+        # "i" for the dotless ı, as its title case I folds, nothing for a
+        # combining mark, the character itself otherwise
+        kept = "i" if char == "ı" else "" if unicodedata.combining(char) else char
         if kept != char:
             text = text.replace(char, kept)
     return text

@@ -219,10 +219,14 @@ class DistanceTable:
     def aligned(self, profile: Profile) -> tuple[float, ...]:
         """``profile``'s values in this table's reference order, matched by folded name.
 
-        Raises InvalidValue unless the profile covers exactly the
-        table's references.
+        Raises InvalidValue unless the profile is in the table's unit and
+        covers exactly the table's references.
         """
         _check_kind(profile, Profile, "profile must be a Profile")
+        if profile.unit is not self._unit:
+            raise InvalidValue(
+                f"target is in {profile.unit.value} but the table is in {self._unit.value}"
+            )
         return profile.aligned_values(self._keys)
 
     def row_values(self, candidate: str) -> tuple[float, ...]:

@@ -85,7 +85,10 @@ class Configuration(_Checked, namedtuple("Configuration", "solution unit referen
 
     @property
     def key(self) -> tuple[str, str, int, str]:
-        """(solution label, unit, reference count, metric token) join key."""
+        """(solution label, unit, reference count, metric token) join key.
+
+        Two reference subsets of one size share the key.
+        """
         return (self.solution.label, self.unit.short, len(self.references), self.metric.token)
 
     @property
@@ -147,22 +150,20 @@ def sweep(
 
 GRID_REFERENCE_SUBSETS = (REFERENCES, REFERENCES[:3])  # with and without Munera
 
+# sweep's (solutions, units, reference subsets, metrics) for the paper's grid
+_GRID = ((CLASSIC_SOLUTION, REFINED_SOLUTION), (Unit.KILOMETERS, Unit.HOURS),
+         GRID_REFERENCE_SUBSETS, STANDARD_METRICS)
+
 
 def run_builtin_grid(rates: ConversionRates = DEFAULT_RATES) -> dict[Configuration, SweepResult]:
     """The standard grid: 2 solutions x 2 subsets x 2 units x 3 metrics."""
-    return sweep(
-        (CLASSIC_SOLUTION, REFINED_SOLUTION),
-        (Unit.KILOMETERS, Unit.HOURS),
-        GRID_REFERENCE_SUBSETS,
-        STANDARD_METRICS,
-        rates=rates,
-    )
+    return sweep(*_GRID, rates=rates)
 
 
 # mean_top_error: the mean over the metrics of the winner's relative error
 FamilyStats = namedtuple("FamilyStats",
                          "label solution unit references mean_gap mean_top_error")
-FamilyStats.__doc__ = "Aggregates for one (solution, unit, reference subset) family."
+FamilyStats.__doc__ = "Aggregates for one (solution, unit, references) family."
 
 # top_candidates: (Configuration, winner) pairs; disagreeing_pairs:
 # (solution, reference count, metric token) triples
@@ -176,7 +177,7 @@ def summarize_conclusions(results: Mapping[Configuration, SweepResult]) -> GridS
     """Condense a full sweep into the headline facts.
 
     The unit-agreement check compares the top-5 candidate NAME SETS of the
-    kilometers run and the hours run of each (solution, subset, metric)
+    kilometers run and the hours run of each (solution, references, metric)
     combination; the two units may order near-ties differently.  Raises
     InvalidValue when ``results`` is empty.
     """
@@ -184,45 +185,43 @@ def summarize_conclusions(results: Mapping[Configuration, SweepResult]) -> GridS
     if not results:
         raise InvalidValue("there are no results to summarize")
     top = tuple((config, result.ranking[0].candidate) for config, result in results.items())
-
-    family_rows: dict[tuple[str, str, int], list[tuple[Configuration, SweepResult]]] = {}
-    for config, result in results.items():
-        family_rows.setdefault(config.key[:3], []).append((config, result))
-    families = []
-    for members in family_rows.values():
-        config = members[0][0]
+    stats = []
+    for members in _families(results):
+        config, result = members[0]
         mean_top_error = math.fsum(res.errors[0] for _, res in members) / len(members)
-        families.append(
-            FamilyStats(
-                label=config.family_label,
-                solution=config.solution.label,
-                unit=config.unit,
-                references=config.references,
-                mean_gap=members[0][1].gaps.mean_gap,
-                mean_top_error=mean_top_error,
-            )
-        )
-    families_t = tuple(families)
+        stats.append(FamilyStats(config.family_label, config.solution.label, config.unit,
+                                 config.references, result.gaps.mean_gap, mean_top_error))
+    families = tuple(stats)
 
-    by_units: dict[tuple[str, int, str], dict[str, frozenset[str]]] = {}
+    by_units: dict[tuple, dict[Unit, frozenset[str]]] = {}
     for config, result in results.items():
-        label, unit, nrefs, metric = config.key
         names = frozenset(e.candidate for e in result.ranking[:5])
-        by_units.setdefault((label, nrefs, metric), {})[unit] = names
+        by_units.setdefault((config.solution, config.references, config.metric),
+                            {})[config.unit] = names
     disagreeing = tuple(
-        key for key, per_unit in by_units.items()
+        (solution.label, len(references), metric.token)
+        for (solution, references, metric), per_unit in by_units.items()
         if len(per_unit) > 1 and len(set(per_unit.values())) > 1
     )
 
     return GridSummary(
         top_candidates=top,
-        families=families_t,
-        lowest_error_family=min(families_t, key=lambda f: f.mean_top_error),
-        highest_mean_gap_family=max(families_t, key=lambda f: f.mean_gap),
-        lowest_mean_gap_family=min(families_t, key=lambda f: f.mean_gap),
+        families=families,
+        lowest_error_family=min(families, key=lambda f: f.mean_top_error),
+        highest_mean_gap_family=max(families, key=lambda f: f.mean_gap),
+        lowest_mean_gap_family=min(families, key=lambda f: f.mean_gap),
         unit_pairs_agree=not disagreeing,
         disagreeing_pairs=disagreeing,
     )
+
+
+def _families(results: Mapping[Configuration, SweepResult]) -> list[list[tuple]]:
+    """The (config, result) pairs of each (solution, unit, references) family,
+    in the order the families first appear."""
+    families: dict[tuple, list[tuple]] = {}
+    for item in results.items():
+        families.setdefault(item[0][:3], []).append(item)
+    return list(families.values())
 
 
 def _check_results(results: Mapping[Configuration, SweepResult]) -> None:
@@ -278,21 +277,16 @@ def build_error_table(results: Mapping[Configuration, SweepResult]) -> RenderedT
               "locality 1", "error 1 (%)",
               "locality 2", "error 2 (%)",
               "locality 3", "error 3 (%)")
+    sources = [(ext.source, ext.entries) for ext in EXTERNAL_ERROR_ROWS]
+    sources += [(config.label, zip([entry.candidate for entry in result.ranking[:3]],
+                                   result.errors))
+                for config, result in results.items()]
     rows: list[tuple[str, ...]] = []
-    for ext in EXTERNAL_ERROR_ROWS:
-        cells: list[str] = [ext.source]
-        for name, pct in ext.entries:
-            cells.extend((name, format_2dp(pct)))
-        while len(cells) < len(header):
-            cells.append("")
-        rows.append(tuple(cells))
-    for config, result in results.items():
-        cells = [config.label]
-        for entry, error in zip(result.ranking[:3], result.errors[:3]):
-            cells.extend((entry.candidate, format_2dp(error)))
-        while len(cells) < len(header):
-            cells.append("")
-        rows.append(tuple(cells))
+    for source, entries in sources:
+        cells = [source]
+        for name, pct in entries:
+            cells += (name, format_2dp(pct))
+        rows.append(tuple(cells) + ("",) * (len(header) - len(cells)))
     return RenderedTable(
         "Relative error (%) of the three closest candidates per configuration",
         header,
@@ -313,12 +307,8 @@ def build_gap_table(results: Mapping[Configuration, SweepResult]) -> RenderedTab
             format_2dp(ext.gap),
             format_2dp(ext.mean) if ext.mean is not None else "",
         ))
-    seen: set[tuple[str, str, int]] = set()
-    for config, result in results.items():
-        family = config.key[:3]
-        if family in seen:
-            continue
-        seen.add(family)
+    for members in _families(results):
+        config, result = members[0]
         for record in result.gaps.records:
             rows.append((
                 f"{config.family_label} {record.metric.label}",
@@ -367,13 +357,17 @@ def build_document_set(results: Mapping[Configuration, SweepResult]) -> dict[str
     In table order: the 24 ranking documents at their conventional numbers
     (table_02..table_26, skipping the dataset number 5), the error
     comparison (table_27), the gap analysis (table_28) and the summary.
-    Raises InvalidValue unless ``results`` holds all 24 configurations.
+    Raises InvalidValue unless ``results`` holds the 24 configurations of
+    the built-in grid, in grid order (``sweep``'s order), and nothing else.
     """
     _check_results(results)
-    if len(results) != 24:
+    solutions, units, subsets, metrics = _GRID
+    grid = [(solution, unit, references, metric) for solution in solutions
+            for references in subsets for unit in units for metric in metrics]
+    if list(results) != grid:
         raise InvalidValue(
-            "document numbering expects the full builtin grid of 24 configurations, "
-            f"got {len(results)}"
+            f"document numbering expects the {len(grid)} configurations of the builtin grid, "
+            f"in grid order and nothing else; got {len(results)} that differ"
         )
     documents = {
         f"table_{number:02d}": build_ranking_table(
@@ -410,12 +404,9 @@ def write_document_set(
     if not path or "\0" in path:
         raise InvalidValue(f"outdir must be a non-empty path without NUL, got {_shown(path)}")
     documents = build_document_set(run_builtin_grid(rates))
-    documents["table_01"] = build_dataset_table(
-        builtin_table(Unit.KILOMETERS), "Candidate distances in kilometers"
-    )
-    documents["table_05"] = build_dataset_table(
-        builtin_table(Unit.HOURS), "Candidate distances in hours"
-    )
+    for stem, unit in (("table_01", Unit.KILOMETERS), ("table_05", Unit.HOURS)):
+        documents[stem] = build_dataset_table(builtin_table(unit),
+                                              f"Candidate distances in {unit.value}")
     texts = [(stem, documents[stem].text(fmt)) for stem in sorted(documents)]
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)

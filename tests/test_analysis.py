@@ -32,7 +32,7 @@ from lpmatch.paper import (
     summarize_conclusions,
     sweep,
 )
-from lpmatch.report import RenderedTable
+from lpmatch.report import RenderedTable, build_ranking_table
 from lpmatch.errors import InvalidValue
 
 L1 = MetricSpec.ln(1)
@@ -123,6 +123,17 @@ class TestRankCandidates:
         with pytest.raises(InvalidValue,
                            match="target is in hours but the table is in kilometers"):
             rank_candidates(KM, CLASSIC_HOURS, L2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: KM.aligned(CLASSIC_HOURS),
+        # else the hours values would be shown under km headers
+        lambda: build_ranking_table(KM, CLASSIC_HOURS, rank_candidates(HOURS, CLASSIC_HOURS, L2),
+                                    L2, title="T"),
+    ], ids=["aligned", "build_ranking_table"])
+    def test_alignment_refuses_a_target_in_another_unit(self, call):
+        with pytest.raises(InvalidValue,
+                           match="^target is in hours but the table is in kilometers$"):
+            call()
 
     def test_reference_mismatch_names_the_unmatched_references(self):
         target = Profile(REFERENCES[:3] + ("Ruidera",), (1.0, 2.0, 3.0, 4.0), Unit.KILOMETERS)
@@ -509,6 +520,27 @@ class TestSummarizeConclusions:
 
     def test_eight_families(self, summary):
         assert len(summary.families) == 8
+
+    def test_subsets_of_one_size_are_two_families(self):
+        # both subsets have three references, so their Configuration.key is
+        # the same; a family is keyed by its references, not their count
+        summary = summarize_conclusions(
+            sweep((CLASSIC_SOLUTION,), (Unit.KILOMETERS,), (REFERENCES[:3], REFERENCES[1:]), (L1,)))
+        assert [family.references for family in summary.families] == [
+            REFERENCES[:3], REFERENCES[1:]]
+        assert [round(family.mean_gap, 2) for family in summary.families] == [1.78, 0.43]
+        assert summary.highest_mean_gap_family.references == REFERENCES[:3]
+        assert summary.lowest_mean_gap_family.references == REFERENCES[1:]
+
+    def test_units_are_compared_within_one_reference_subset(self):
+        results = sweep((CLASSIC_SOLUTION,), (Unit.KILOMETERS, Unit.HOURS),
+                        (REFERENCES[:3], REFERENCES[1:]), (L1,))
+        first_km, first_hours, second_km, second_hours = results
+        assert summarize_conclusions(results).disagreeing_pairs == ()
+        # the second subset's top five holds Alhambra, the first subset's
+        # does not; a merge of the two subsets compared only the second's runs
+        mixed = {**results, first_hours: results[second_hours]}
+        assert summarize_conclusions(mixed).disagreeing_pairs == (("classic", 3, "l1"),)
 
     def test_no_results_raise_invalid_value(self):
         for results in ({}, sweep((), (), (), ())):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from lpmatch import paper
 from lpmatch.analysis import CLASSIC_SOLUTION, REFINED_SOLUTION, rank_candidates, target_profile
-from lpmatch.core import MetricSpec, Unit
+from lpmatch.core import ConversionRates, MetricSpec, Unit
 from lpmatch.dataset import REFERENCES, builtin_table, subset_references
 from lpmatch.errors import InvalidValue
 from lpmatch.paper import (
@@ -260,6 +260,14 @@ class TestGapTable:
         # 4 external + 8 families x 3 metrics
         assert len(build_gap_table(grid).rows) == 28
 
+    def test_subsets_of_one_size_each_get_their_rows(self):
+        results = paper.sweep((CLASSIC_SOLUTION,), (Unit.KILOMETERS,),
+                              (REFERENCES[:3], REFERENCES[1:]), (MetricSpec.ln(1),))
+        rows = build_gap_table(results).rows[4:]
+        assert [row[0] for row in rows] == [
+            f"classic km 3-ref {metric}" for metric in ("L_inf", "L_1", "L_2")] * 2
+        assert [row[2] for row in rows] == ["1.78"] * 3 + ["0.43"] * 3
+
 
 class TestSummaryTable:
     def test_contains_headline_facts(self, grid):
@@ -332,6 +340,24 @@ class TestWriteDocumentSet:
         with pytest.raises(InvalidValue, match=r"^unknown format 'pdf'$"):
             write_document_set(outdir, fmt="pdf")
         assert not outdir.exists()
+
+    def test_accepts_the_grid_at_other_rates(self):
+        documents = paper.build_document_set(run_builtin_grid(ConversionRates(30.0, 9.0)))
+        assert sorted(documents) == sorted(set(EXPECTED_FILES) - {"table_01", "table_05"})
+
+    @pytest.mark.parametrize("results", [
+        # other metrics: 24 configurations, but not the grid's
+        lambda: paper.sweep(*paper._GRID[:3],
+                            (MetricSpec.ln(1), MetricSpec.ln(2), MetricSpec.ln(3))),
+        # another 3-reference subset: the grid's Configuration.key list
+        lambda: paper.sweep(*paper._GRID[:2], (REFERENCES, REFERENCES[1:]),
+                            paper._GRID[3]),
+        # the grid's configurations, in reverse order
+        lambda: dict(reversed(run_builtin_grid().items())),
+    ], ids=["other-metrics", "other-subset", "reversed"])
+    def test_refuses_24_results_that_are_not_the_grid(self, results):
+        with pytest.raises(InvalidValue, match="24 configurations"):
+            paper.build_document_set(results())
 
     def test_partial_grid_is_refused_without_asserts(self, tmp_path, monkeypatch):
         # a real check, which python -O keeps
