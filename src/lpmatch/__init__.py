@@ -11,42 +11,11 @@ are resolved here on first use (PEP 562), so ``import lpmatch`` does not load
 it.
 """
 
-from .analysis import (
-    BUILTIN_SOLUTIONS,
-    CLASSIC_SOLUTION,
-    REFINED_SOLUTION,
-    STANDARD_METRICS,
-    GapRecord,
-    GapReport,
-    RankingEntry,
-    SolutionProfile,
-    gap_report,
-    rank_candidates,
-    relative_error_percent,
-    target_profile,
-    top_k,
-)
-from .core import (
-    DEFAULT_RATES,
-    ConversionRates,
-    MetricSpec,
-    Profile,
-    Unit,
-    convert,
-    fold_name,
-    magnitude,
-    metric_distance,
-)
-from .dataset import (
-    REFERENCES,
-    DistanceTable,
-    builtin_table,
-    normalize_name,
-    parse_table,
-    serialize_table,
-    subset_references,
-)
-from .errors import InvalidValue, LpmatchError, ParseError
+# each module's ``__all__`` is its one list of public names
+from .analysis import *
+from .core import *
+from .dataset import *
+from .errors import *
 from .report import (
     FORMATS,
     TARGET_LABEL,
@@ -57,7 +26,7 @@ from .report import (
 
 __version__ = "0.1.0"
 
-# the public names of ``paper``, loaded on first use
+# the public names of ``paper``, its ``__all__``, loaded on first use
 _PAPER_NAMES = frozenset({
     "Configuration", "SweepResult", "FamilyStats", "GridSummary", "GRID_REFERENCE_SUBSETS",
     "sweep", "run_builtin_grid", "summarize_conclusions", "ExternalResultRow",

@@ -144,7 +144,11 @@ def _real(value: object) -> float:
 
 
 def _floats(values: Iterable[float]) -> tuple[float, ...]:
-    """The values as floats; one given as text is read by ``_number``."""
+    """The values as floats; one given as text is read by ``_number``.  Text
+    in place of the container, which would iterate as its characters or
+    byte codes, raises TypeError as a non-iterable does."""
+    if isinstance(values, (str, bytes, bytearray, memoryview)):
+        raise TypeError("text is not a container of values")
     return tuple(map(_real, values))
 
 

@@ -8,6 +8,8 @@ selection, a target of zero magnitude, an operand of the wrong kind.
 known.  Both are ``LpmatchError``, and the CLI maps both to exit 1.
 """
 
+__all__ = ["LpmatchError", "InvalidValue", "ParseError"]
+
 
 class LpmatchError(Exception):
     """Base class for every error raised by this package."""

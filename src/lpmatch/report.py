@@ -65,6 +65,14 @@ def format_2dp(x: float) -> str:
     return f"{sign}{units}.{cents:02d}"
 
 
+def _check_sequence(value, requirement: str) -> None:
+    """InvalidValue "<requirement>, got <value>" unless ``value`` is a
+    sequence other than a str, which would read as its characters."""
+    if isinstance(value, str):
+        raise InvalidValue(f"{requirement}, got {_shown(value)}")
+    _check_kind(value, Sequence, requirement)
+
+
 class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows")):
     """A titled table of already-formatted cells."""
 
@@ -72,10 +80,10 @@ class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows")):
 
     def __post_init__(self) -> None:
         _check_kind(self.title, str, "a document title must be a string")
-        _check_kind(self.header, Sequence, "a document header must be a sequence of cells")
-        _check_kind(self.rows, Sequence, "document rows must be a sequence of rows")
+        _check_sequence(self.header, "a document header must be a sequence of cells")
+        _check_sequence(self.rows, "document rows must be a sequence of rows")
         for row in self.rows:
-            _check_kind(row, Sequence, "a document row must be a sequence of cells")
+            _check_sequence(row, "a document row must be a sequence of cells")
             if len(row) != len(self.header):
                 raise InvalidValue("every row must match the header arity")
         for cell in chain(self.header, *self.rows):

@@ -208,6 +208,12 @@ class TestFileData:
         assert "Nearby" in rows[3]
         assert "Faraway" in rows[4]
 
+    def test_an_unknown_unit_exits_2_with_an_error_line(self, capsys, tmp_path):
+        path = self.write_sample(tmp_path)
+        code, out, err = invoke(capsys, "rank", "--data", str(path), "--unit", "miles")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown unit 'miles'\n"
+
     def test_malformed_file_content_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name;a;b\nX;1,0\n", encoding="utf-8")

@@ -119,3 +119,21 @@ def test_lazy_names_are_the_public_names_of_paper():
     assert all(getattr(lpmatch, name) is getattr(paper, name) for name in paper.__all__)
     with pytest.raises(AttributeError, match="^module 'lpmatch' has no attribute 'no_such_name'$"):
         lpmatch.no_such_name
+
+
+def test_the_package_exports_each_module_all_and_five_report_names():
+    code = ("import lpmatch\n"
+            "from lpmatch import analysis, core, dataset, errors\n"
+            "names = {n for m in (analysis, core, dataset, errors) for n in m.__all__}\n"
+            "names |= {'FORMATS', 'TARGET_LABEL', 'RenderedTable', 'build_ranking_table',\n"
+            "          'format_2dp', 'analysis', 'core', 'dataset', 'errors', 'report'}\n"
+            "public = {n for n in vars(lpmatch) if not n.startswith('_')}\n"
+            "print(sorted(public ^ names))")
+    assert run_clean(code) == "[]\n"
+
+
+def test_importing_names_and_the_cli_from_the_package_loads_no_paper():
+    # the worker's import: 'cli' is no package name, so it reaches __getattr__
+    loaded = loaded_modules("from lpmatch import Unit, cli")
+    assert "lpmatch.cli" in loaded
+    assert "lpmatch.paper" not in loaded

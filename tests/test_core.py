@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -101,6 +102,13 @@ class TestProfile:
         assert [outcome(v) for v in (data, bytearray(data), memoryview(data))] == [expected] * 3
         if text in ("1_0", "١٢"):
             assert expected == "invalid"
+
+    @pytest.mark.parametrize("values", ["12", b"12", bytearray(b"12"), memoryview(b"12")],
+                             ids=["str", "bytes", "bytearray", "memoryview"])
+    def test_text_in_place_of_the_values_is_not_read_as_characters(self, values):
+        message = f"^profile distances must be real numbers, got {re.escape(repr(values))}$"
+        with pytest.raises(InvalidValue, match=message):
+            Profile(("a", "b"), values, Unit.KILOMETERS)
 
     @pytest.mark.parametrize("names", [("munera", "EL TOBOSO"),
                                        (n for n in ["munera", "EL TOBOSO"])],

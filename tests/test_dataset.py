@@ -324,6 +324,12 @@ class TestDistanceTableValidation:
         with pytest.raises(InvalidValue, match="duplicate candidate 'X'"):
             DistanceTable(Unit.KILOMETERS, ("a",), [("X", (1.0,)), (" x ", (2.0,))])
 
+    @pytest.mark.parametrize("values", ["12", b"12", bytearray(b"12"), memoryview(b"12")],
+                             ids=["str", "bytes", "bytearray", "memoryview"])
+    def test_text_in_place_of_a_row_values_is_not_read_as_characters(self, values):
+        with pytest.raises(InvalidValue, match="^table distances must be real numbers, got "):
+            DistanceTable(Unit.KILOMETERS, ("a", "b"), [("x", values)])
+
 
 names_pool = st.integers(min_value=0, max_value=999).map(lambda i: f"item{i}")
 
@@ -399,6 +405,13 @@ def oracle_real(value):
     return float(value)
 
 
+def oracle_floats(values):
+    """The values as floats; text in place of the values is no container."""
+    if isinstance(values, (str, bytes, bytearray, memoryview)):
+        raise TypeError(values)
+    return tuple(map(oracle_real, values))
+
+
 def oracle_normalize(raw):
     cleaned = " ".join(oracle_coerce(str.split, raw, "a name must be a string"))
     if not cleaned:
@@ -423,7 +436,7 @@ def oracle_table(unit, references, rows):
         if key in index:
             raise InvalidValue(f"duplicate candidate {name!r}")
         index[key] = len(names)
-        vals = oracle_coerce(lambda v: tuple(map(oracle_real, v)), raw_values,
+        vals = oracle_coerce(oracle_floats, raw_values,
                              "table distances must be real numbers")
         if len(vals) != len(refs):
             raise InvalidValue(

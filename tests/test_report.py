@@ -123,6 +123,15 @@ class TestRenderedTable:
         with pytest.raises(InvalidValue):
             RenderedTable("t", ("a", "b"), (("only",),))
 
+    @pytest.mark.parametrize("header, rows, message", [
+        ("ab", ("xy",), "a document header must be a sequence of cells, got 'ab'"),
+        (("a",), "x", "document rows must be a sequence of rows, got 'x'"),
+        (("a",), ("x",), "a document row must be a sequence of cells, got 'x'"),
+    ])
+    def test_a_string_is_not_read_as_its_characters(self, header, rows, message):
+        with pytest.raises(InvalidValue, match=f"^{message}$"):
+            RenderedTable("t", header, rows)
+
     def test_unknown_format(self):
         with pytest.raises(InvalidValue, match=r"^unknown format 'xml'$"):
             RenderedTable("t", ("a",), ()).text("xml")
