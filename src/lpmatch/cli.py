@@ -242,6 +242,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # a path that is not UTF-8 prints as the bytes the OS gave, even where
+    # stdout's own error handler is strict; a closed stdout is None
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(errors="surrogateescape")
     sys.exit(run())
 
 

@@ -4,8 +4,10 @@ Every document is a RenderedTable of already-formatted cells, and its
 ``text`` method is the one place an output format is chosen: markdown,
 delimiter-separated text or a stream of JSON records.  Numeric cells are
 formatted at two decimals with dot decimal separators, rounding ties away
-from zero; all underlying computation stays at full precision.  The paper
-grid's documents are built from these in ``paper``.
+from zero; all underlying computation stays at full precision.  A figure
+cell knows it is one: ``format_2dp`` returns it as a ``_Figure``, the one
+kind of cell that a JSON record writes as a number.  The paper grid's
+documents are built from these in ``paper``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ FORMATS = ("md", "csv", "jsonl")
 TARGET_LABEL = "LUGAR DE LA MANCHA"
 
 
+class _Figure(str):
+    """A cell that holds a figure; jsonl writes it as a JSON number."""
+
+    __slots__ = ()
+
+
 def format_2dp(x: float) -> str:
     """Two-decimal display form, ties rounded away from zero.
 
@@ -45,6 +53,7 @@ def format_2dp(x: float) -> str:
     value, rounded to cents in integer arithmetic: ``-0.0`` gives ``-0.00``
     and ``1e+23`` gives the repr's digits, ``100000000000000000000000.00``.
     Raises InvalidValue unless ``x`` is a finite real number (or its text).
+    The text is a figure cell: a jsonl record writes it as a JSON number.
     """
     value = _coerce(_real, x, "a value to format must be a real number")
     if not math.isfinite(value):
@@ -62,7 +71,7 @@ def format_2dp(x: float) -> str:
     else:
         cents *= 10**-dropped_digits
     units, cents = divmod(cents, 100)
-    return f"{sign}{units}.{cents:02d}"
+    return _Figure(f"{sign}{units}.{cents:02d}")
 
 
 def _check_sequence(value, requirement: str) -> None:
@@ -100,11 +109,12 @@ class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows")):
         raise InvalidValue(f"unknown format {_shown(fmt)}")
 
     def _markdown(self) -> str:
-        lines = [f"# {self.title}", ""]
-        lines.append("| " + " | ".join(self.header) + " |")
-        lines.append("| " + " | ".join("---" for _ in self.header) + " |")
-        for row in self.rows:
-            lines.append("| " + " | ".join(row) + " |")
+        def line(cells) -> str:
+            # a bare '|' in a cell would split it in two
+            return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+        lines = [f"# {self.title}", "", line(self.header), line(("---",) * len(self.header))]
+        lines += map(line, self.rows)
         return "\n".join(lines) + "\n"
 
     def _delimited(self) -> str:
@@ -119,20 +129,12 @@ class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows")):
 
     def _records(self) -> str:
         import json
-        import re
-
-        # only a plain decimal literal becomes a number, so a name such as
-        # 'nan', 'Infinity', '1e5' or '1_0' stays a string and every line is
-        # strict JSON
-        plain_decimal = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
-
-        def cell_value(cell: str):
-            return float(cell) if plain_decimal.fullmatch(cell) else cell
 
         lines = [json.dumps({"title": self.title, "columns": list(self.header)},
                             ensure_ascii=False)]
         for row in self.rows:
-            record = {col: cell_value(cell) for col, cell in zip(self.header, row)}
+            record = {col: float(cell) if isinstance(cell, _Figure) else cell
+                      for col, cell in zip(self.header, row)}
             lines.append(json.dumps(record, ensure_ascii=False))
         return "\n".join(lines) + "\n"
 
@@ -200,7 +202,7 @@ def build_error_listing(
     header = ("rank", "locality", metric.column, "relative error (%)")
     rows = tuple(
         (
-            str(entry.rank),
+            _Figure(entry.rank),
             entry.candidate,
             format_2dp(entry.distance),
             format_2dp(relative_error_percent(entry.distance, target, metric)),

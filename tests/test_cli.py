@@ -1,9 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from lpmatch.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
@@ -91,6 +98,31 @@ class TestRank:
         assert names == csv_names
         assert sorted(names[1:]) == ["1E5", "1_0", "Infinity", "Nan"]
         assert all(type(record["d_2"]) is float for record in records[1:])
+
+    @pytest.mark.parametrize("command", ["rank", "errors"])
+    def test_jsonl_names_made_of_digits_stay_strings(self, capsys, tmp_path, command):
+        path = tmp_path / "digits.csv"
+        path.write_text("name,a,b\n007,1,2\n2024,2,1\n", encoding="utf-8")
+        code, out, _ = invoke(capsys, command, "--data", str(path), "--solution", "1,1",
+                              "--format", "jsonl")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()[1:]]
+        assert sorted(record["locality"] for record in records
+                      if record["locality"] != "LUGAR DE LA MANCHA") == ["007", "2024"]
+        for record in records:
+            figures = [value for column, value in record.items() if column != "locality"]
+            assert figures and all(type(value) is float for value in figures)
+        if command == "errors":
+            assert records[0]["rank"] == 1.0
+
+    def test_a_bar_in_a_name_or_a_reference_keeps_the_columns(self, capsys, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text("name;a|x;b\nA|B;1;2\nC;2;1\n", encoding="utf-8")
+        code, out, _ = invoke(capsys, "rank", "--data", str(path), "--solution", "1,1")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("|")]
+        assert r"| A\|B | 1.00 | 2.00 | 41.73 |" in rows
+        assert {len(re.findall(r"(?<!\\)\|", row)) for row in rows} == {5}
 
 
 class TestUsageErrors:
@@ -350,6 +382,24 @@ class TestReproduceCommand:
         code, _, _ = invoke(capsys, "reproduce", "--outdir", str(outdir), "--format", "jsonl")
         assert code == 0
         assert (outdir / "table_28.jsonl").exists()
+
+    def test_a_non_utf8_outdir_is_listed_under_a_strict_stdout(self, tmp_path):
+        env = dict(os.environ, PYTHONIOENCODING="utf-8")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-m", "lpmatch", "reproduce", "--outdir",
+                               os.fsdecode(b"\xfe")], cwd=tmp_path, env=env,
+                              capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.splitlines()[0] == b"\xfe/summary.md"
+        assert len(os.listdir(tmp_path / os.fsdecode(b"\xfe"))) == 29
+
+    def test_a_closed_stdout_still_gets_the_usage_error(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        done = subprocess.run(["/bin/sh", "-c", 'exec "$0" -m lpmatch rank --metric x 1>&-',
+                               sys.executable], env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr.endswith("error: argument --metric: unknown metric 'x'\n")
 
     def test_unwritable_outdir_exits_1(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"

@@ -215,6 +215,10 @@ class TestSerializeRoundTrip:
         km = builtin_table("km")
         assert parse_table(serialize_table(km), unit=Unit.KILOMETERS) == km
 
+    def test_semicolon_delimited_km_round_trips_exactly(self):
+        km = builtin_table("km")
+        assert parse_table(serialize_table(km, delimiter=";"), unit=Unit.KILOMETERS) == km
+
     def test_builtin_hours_round_trips_exactly(self):
         hours = builtin_table("hours")
         assert parse_table(serialize_table(hours), unit=Unit.HOURS) == hours

@@ -150,21 +150,22 @@ class TestRenderedTable:
         assert rows == [["a", "b"], ["x", "1.50"]]
 
     def test_jsonl_records(self):
-        table = RenderedTable("Title", ("name", "value"), (("x", "1.50"),))
+        table = RenderedTable("Title", ("name", "value", "text"),
+                              (("x", format_2dp(1.5), "1.50"),))
         meta, record = [json.loads(line) for line in table.text("jsonl").splitlines()]
-        assert meta == {"title": "Title", "columns": ["name", "value"]}
-        assert record == {"name": "x", "value": 1.5}
+        assert meta == {"title": "Title", "columns": ["name", "value", "text"]}
+        assert record == {"name": "x", "value": 1.5, "text": "1.50"}
+        assert type(record["value"]) is float
 
-    @pytest.mark.parametrize("cell, value", [
-        ("12", 12.0), ("-1.50", -1.5), ("0.00", 0.0), ("007", 7.0),
-        ("nan", "nan"), ("-Infinity", "-Infinity"), ("1e5", "1e5"), ("1_0", "1_0"),
-        (" 1", " 1"), ("1.", "1."), (".5", ".5"), ("+1", "+1"), ("\u0661", "\u0661"),
+    @pytest.mark.parametrize("cell", [
+        "12", "-1.50", "0.00", "007", "nan", "-Infinity", "1e5", "1_0",
+        " 1", "1.", ".5", "+1", "\u0661",
     ])
-    def test_jsonl_numbers_only_for_plain_decimal_literals(self, cell, value):
+    def test_jsonl_text_cells_stay_strings(self, cell):
         table = RenderedTable("Title", ("cell",), ((cell,),))
         record = json.loads(table.text("jsonl").splitlines()[1])
-        assert record == {"cell": value}
-        assert type(record["cell"]) is type(value)
+        assert record == {"cell": cell}
+        assert type(record["cell"]) is str
 
 
 @pytest.fixture(scope="module")
