@@ -9,7 +9,8 @@ query commands are declared once, in ``_QUERIES``; each subparser names its
 handler.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags or tokens, unreadable
-data file), 1 on data errors (malformed file content, incompatible inputs).
+data file), 1 on data errors (malformed file content, incompatible inputs)
+and on output that stdout cannot take (closed, full, or unable to encode it).
 """
 
 from __future__ import annotations
@@ -233,12 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        output = args.handler(args)
+        _write(args.handler(args))
     except (_UsageError, LpmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
-    sys.stdout.write(output)
     return 0
+
+
+def _write(output: str) -> None:
+    """``output`` on stdout, or OSError where stdout cannot take it."""
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        raise OSError("cannot write the output: stdout is closed")
+    try:
+        sys.stdout.write(output)
+    except UnicodeEncodeError as exc:  # a name that stdout's encoding lacks
+        raise OSError(f"cannot write the output: {exc}") from None
 
 
 def main() -> None:

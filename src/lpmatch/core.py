@@ -8,8 +8,9 @@ profiles listing the same references in different orders are equivalent.
 Distances are computed in double precision; rounding happens only at display
 time.  Every metric is bit-exact under permutation of the input entries:
 L_inf takes a maximum, L1 and the inner sum of Ln use the correctly rounded
-``math.fsum``, and L2, whose ``math.hypot`` depends on input order, reduces
-each row's differences in canonical (descending) order.  The maximum of
+``math.fsum``, and L2, whose ``math.hypot`` may depend on input order,
+reduces each row's differences in ascending order of their references'
+folded keys, an order set by the references alone.  The maximum of
 L_inf, and the peak that scales Ln, is reduced one column at a time, each
 row's running peak against the next column's difference; differences are
 finite and >= 0, so that is the same double as ``max`` over the row.
@@ -49,7 +50,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import repeat, starmap
-from operator import mul, neg, truediv
+from operator import mul, truediv
 
 from .errors import InvalidValue
 
@@ -400,7 +401,9 @@ def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]]) -> list[float]:
     """Lp norm of each row of ``columns``.
 
     ``columns`` holds one equal-length sequence of non-negative differences
-    per reference.  Whole columns are reduced with C-level builtins or one
+    per reference, in ascending order of the references' folded keys: L2
+    hands each row to ``hypot`` in column order, and the other norms do not
+    depend on it.  Whole columns are reduced with C-level builtins or one
     comprehension per column, so no Python function is called per row.
     Raises InvalidValue when a norm is not a finite double.
     """
@@ -418,12 +421,9 @@ def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]]) -> list[float]:
             return peaks
     try:
         if n == 1:
-            norms = list(map(math.fsum, zip(*columns)))  # fsum needs no canonical order
+            norms = list(map(math.fsum, zip(*columns)))  # fsum does not depend on order
         elif n == 2:
-            # hypot depends on input order and ignores signs: sorting the
-            # negated differences ascending puts each row in descending order
-            rows = zip(*(map(neg, column) for column in columns))
-            norms = list(starmap(math.hypot, map(sorted, rows)))
+            norms = list(starmap(math.hypot, zip(*columns)))
         else:
             n = min(n, _HUGE_ORDER)
             # an all-zero row has ratios 0.0 and norm 0.0 * 0.0 == 0.0
@@ -441,8 +441,16 @@ def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]]) -> list[float]:
 
 
 def _norm(spec: MetricSpec, diffs: Iterable[float]) -> float:
-    """Lp norm of one row of non-negative differences (see ``_norms``)."""
+    """Lp norm of one row of non-negative differences in folded-key order
+    (see ``_norms``)."""
     return _norms(spec, [(d,) for d in diffs])[0]
+
+
+def _key_order(keys: Iterable[str], *fields: Iterable) -> list[tuple]:
+    """(key, *values) per reference, in ascending order of the folded
+    ``keys``: the order in which every L2 reduces a row (see ``_norms``).
+    The keys are unique, so no two values are compared."""
+    return sorted(zip(keys, *fields))
 
 
 def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
@@ -458,8 +466,9 @@ def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
     _check_kind(y, Profile, "y must be a Profile")
     if x.unit is not y.unit:
         raise InvalidValue(f"cannot compare a {x.unit.value} profile with a {y.unit.value} one")
-    theirs = y.aligned_values(_keys(_lines(x.names)))
-    return _norm(spec, (abs(a - b) for a, b in zip(x.values, theirs)))
+    keys, ours = zip(*_key_order(_keys(_lines(x.names)), x.values))
+    theirs = y.aligned_values(keys)
+    return _norm(spec, (abs(a - b) for a, b in zip(ours, theirs)))
 
 
 def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) -> Profile:
@@ -486,4 +495,5 @@ def magnitude(spec: MetricSpec, p: Profile) -> float:
     """Distance from ``p`` to the all-zero profile over the same references."""
     _check_kind(spec, MetricSpec, "spec must be a MetricSpec")
     _check_kind(p, Profile, "p must be a Profile")
-    return _norm(spec, map(abs, p.values))
+    keyed = _key_order(_keys(_lines(p.names)), p.values)
+    return _norm(spec, (abs(value) for _, value in keyed))

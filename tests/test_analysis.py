@@ -1,5 +1,7 @@
+import itertools
 import math
 import pickle
+import random
 import sys
 from typing import NamedTuple
 
@@ -20,7 +22,7 @@ from lpmatch.analysis import (
     target_profile,
     top_k,
 )
-from lpmatch.core import ConversionRates, MetricSpec, Profile, Unit
+from lpmatch.core import ConversionRates, MetricSpec, Profile, Unit, magnitude, metric_distance
 from lpmatch.dataset import REFERENCES, DistanceTable, builtin_table, subset_references
 from lpmatch.paper import (
     Configuration,
@@ -302,6 +304,79 @@ class TestTieBreakOverflow:
                     "l2": math.hypot(DBL_MAX / 3, 1.0, 1.0, 1.0),
                     "l3": DBL_MAX / 3}[metric.token]
         assert rank_candidates(table, AT_ZERO, metric) == [RankingEntry("R0", expected, 1)]
+
+
+# each reference's place in ascending folded-key order (alpha, beta, ebano,
+# zeta), which is not the order of this listing or of the spelled names, and
+# the spellings that tables and targets take at random
+KEY_PLACE = {"Zeta": 4, "Ébano": 3, "alpha": 1, "Beta": 2}
+SPELLINGS = {"Zeta": ("Zeta", "ZETA", "zEtA"), "Ébano": ("Ébano", "ebano", "ÉBANO"),
+             "alpha": ("alpha", "Alpha", "ALPHA"), "Beta": ("Beta", "beta", "BETA")}
+
+
+@pytest.fixture
+def hypot_calls(monkeypatch):
+    """The arguments of every ``math.hypot`` call, answered by a stand-in
+    whose result depends on their order: the i-th absolute value is weighted
+    by i."""
+    calls = []
+
+    def hypot(*coordinates):
+        calls.append(coordinates)
+        return math.fsum(i * abs(c) for i, c in enumerate(coordinates, 1))
+
+    monkeypatch.setattr(math, "hypot", hypot)
+    return calls
+
+
+def arranged(rng, references, columns, goal):
+    """A table with ``columns`` in the order of ``references`` and a target
+    of ``goal`` in a random order, each reference spelled at random."""
+    rows = [(f"c{i}", tuple(columns[r][i] for r in references))
+            for i in range(len(columns[references[0]]))]
+    table = DistanceTable(Unit.KILOMETERS, [rng.choice(SPELLINGS[r]) for r in references], rows)
+    order = rng.sample(list(goal), len(goal))
+    target = Profile([rng.choice(SPELLINGS[r]) for r in order], [goal[r] for r in order],
+                     Unit.KILOMETERS)
+    return table, target
+
+
+class TestL2InFoldedKeyOrder:
+    """Every L2 hands its row to ``math.hypot`` in ascending order of the
+    references' folded keys, an order that no permutation or re-spelling
+    of the references changes; checked with an order-sensitive stand-in
+    for ``hypot``, so without relying on its accuracy."""
+
+    def test_every_l2_row_reaches_hypot_in_key_order(self, hypot_calls):
+        rng = random.Random(27)
+        # a reference's values (10 k + quarter steps, which tie rows), goal
+        # (100 k + 0.5) and differences from it are about k times the first
+        # reference's, for its place k in key order
+        columns = {ref: [10 * place + rng.randrange(4) / 4 for _ in range(12)]
+                   for ref, place in KEY_PLACE.items()}
+        goal = {ref: 100 * place + 0.5 for ref, place in KEY_PLACE.items()}
+        table, target = arranged(rng, list(KEY_PLACE), columns, goal)
+        for metric in (LINF, L1, L2, MetricSpec.ln(3)):
+            rank_candidates(table, target, metric)
+        gap_report(table, target)
+        row = row_profile(table, "C0")
+        metric_distance(L2, row, target)
+        magnitude(L2, row)
+        assert len(hypot_calls) > 12
+        assert {tuple(round(c / call[0]) for c in call) for call in hypot_calls} == {(1, 2, 3, 4)}
+
+    def test_results_do_not_depend_on_the_order_or_spelling_of_references(self, hypot_calls):
+        rng = random.Random(2027)
+        for _ in range(10):
+            columns = {ref: [rng.randrange(1, 5) / 4 for _ in range(8)] for ref in KEY_PLACE}
+            goal = {ref: rng.randrange(1, 5) / 4 for ref in KEY_PLACE}
+            results = set()
+            for references in itertools.permutations(KEY_PLACE):
+                table, target = arranged(rng, references, columns, goal)
+                row = row_profile(table, "C0")
+                results.add(repr((rank_candidates(table, target, L2), gap_report(table, target),
+                                  metric_distance(L2, row, target), magnitude(L2, target))))
+            assert len(results) == 1
 
 
 class TestRankingEntry:

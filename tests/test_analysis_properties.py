@@ -2,8 +2,9 @@
 
 The brute-force oracle re-computes every distance with inline formulas and
 re-sorts from scratch; it shares no code with the implementation under test.
-Both sides canonicalize the per-reference differences in descending order,
-which is part of the metric's documented deterministic contract.
+The oracle hands each row's differences to ``math.hypot`` in descending
+order, the implementation in ascending order of the references' folded
+keys, so the L2 checks also show that both orders give the same doubles.
 """
 
 import math

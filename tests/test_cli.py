@@ -418,6 +418,35 @@ class TestReproduceCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUnwritableStdout:
+    """Output that stdout cannot take ends in an error line and exit 1."""
+
+    @staticmethod
+    def run_shell(command, **env):
+        env = dict(os.environ, **env)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        return subprocess.run(["/bin/sh", "-c", command, sys.executable], env=env,
+                              capture_output=True, text=True)
+
+    def test_a_name_the_stdout_encoding_lacks(self):
+        # the ranking of the built-in table shows accented names, such as 'Cózar'
+        done = self.run_shell('exec "$0" -m lpmatch rank', PYTHONIOENCODING="ascii")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: cannot write the output: 'ascii' codec")
+        assert done.stderr.count("\n") == 1
+
+    def test_a_closed_stdout(self):
+        done = self.run_shell('exec "$0" -m lpmatch rank 1>&-')
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: cannot write the output: stdout is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_device(self):
+        done = self.run_shell('exec "$0" -m lpmatch rank >/dev/full')
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: [Errno 28] No space left on device\n"
+
+
 class TestOverflowInputs:
     """Finite inputs beyond what a double holds end in a result or a clean error."""
 
