@@ -13,15 +13,15 @@ reducer of ``core``, and one sort on the distances alone orders the
 candidates.  The columns are taken in ascending order of their folded
 reference keys, the order in which ``core`` reduces every L2.  Only rows
 whose distance equals another row's need the L2 tie-break, and they are
-re-sorted by (distance, L2, name) in place.  Each ranking decides once
-which rows get an L2, through the same reducer: differences are >= 0, so a
-row's L2 is at most sqrt(R) times its largest difference, which is at most
-any of its Lp distances.  While sqrt(R) times the largest distance stays
-below half the largest double no L2 can overflow, and only the tied rows
-get one; beyond that every row does, and that one pass is both the
-tie-break and the overflow check.  An L2 ranking's tied
-rows have their distance as their L2, so it makes no second pass.  So
-rankings, tie order and errors are the ones a full L2 pass gives.  The sort
+re-sorted by (distance, L2, name) in place.  Each ranking decides once which
+rows get an L2, through the same reducer: differences are >= 0, so a row's
+L2 is at most sqrt(R) times its largest difference, which is at most any of
+its Lp distances.  While sqrt(R) times the largest distance stays below half
+the largest double no L2 can overflow, and only the tied rows get one;
+beyond that every row does, and that one pass is both the tie-break and the
+overflow check.  An L2 ranking's tied rows have their distance as their L2,
+so it makes no second pass.  So rankings, tie order and errors are the ones
+a full L2 pass gives.  The sort
 orders the table's own row ordinals (``DistanceTable`` builds 0..n once, and
 its subsets share them), and the entries take their ranks from the same
 tuple, so a ranking makes no int per row.
@@ -150,8 +150,9 @@ def _rankings(
     ordinals on their distances, then re-sorts the rows whose distance is
     tied by (distance, L2, name), with the L2 of those rows only (an L2
     ranking's own distances); beyond the overflow bound it re-sorts every
-    row, and that L2 pass is also the overflow check.  The InvalidValue of an overflow names the metric that
-    ``rank_candidates`` would name for the first of ``metrics`` to meet one.
+    row, and that L2 pass is also the overflow check.  The InvalidValue of
+    an overflow names the metric that ``rank_candidates`` would name for the
+    first of ``metrics`` to meet one.
     """
     goal = table.aligned(target)  # InvalidValue unless in its unit and references
     # a comprehension, which CPython 3.11 specializes for floats, builds

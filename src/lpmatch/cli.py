@@ -10,12 +10,14 @@ handler.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags or tokens, unreadable
 data file), 1 on data errors (malformed file content, incompatible inputs)
-and on output that stdout cannot take (closed, full, or unable to encode it).
+and on output that stdout cannot take (closed, full, a broken pipe, or unable
+to encode it).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis, report
@@ -246,9 +248,16 @@ def _write(output: str) -> None:
     if sys.stdout is None:  # fd 1 was closed when the process started
         raise OSError("cannot write the output: stdout is closed")
     try:
+        # flushed here, so that a full device or a closed pipe fails inside
+        # run's error path and not in the interpreter's flush at exit
         sys.stdout.write(output)
+        sys.stdout.flush()
     except UnicodeEncodeError as exc:  # a name that stdout's encoding lacks
         raise OSError(f"cannot write the output: {exc}") from None
+    except OSError:
+        # what stays in the buffer would fail again at exit: fd 1 takes it now
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 def main() -> None:

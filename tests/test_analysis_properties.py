@@ -5,6 +5,9 @@ re-sorts from scratch; it shares no code with the implementation under test.
 The oracle hands each row's differences to ``math.hypot`` in descending
 order, the implementation in ascending order of the references' folded
 keys, so the L2 checks also show that both orders give the same doubles.
+An L2 failure here is a row on which ``math.hypot`` depends on the order of
+its arguments, not a ranking fault: record the row, and pin it with
+hypothesis's ``@example`` so that every run checks it again.
 """
 
 import math

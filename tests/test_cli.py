@@ -419,14 +419,22 @@ class TestReproduceCommand:
 
 
 class TestUnwritableStdout:
-    """Output that stdout cannot take ends in an error line and exit 1."""
+    """Output that stdout cannot take ends in an error line and exit 1.
+
+    Each run has a buffered stdout, as under a plain shell: output smaller
+    than the buffer only fails when it is flushed.
+    """
 
     @staticmethod
-    def run_shell(command, **env):
+    def environment(**env):
         env = dict(os.environ, **env)
+        env.pop("PYTHONUNBUFFERED", None)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-        return subprocess.run(["/bin/sh", "-c", command, sys.executable], env=env,
-                              capture_output=True, text=True)
+        return env
+
+    def run_shell(self, command, **env):
+        return subprocess.run(["/bin/sh", "-c", command, sys.executable],
+                              env=self.environment(**env), capture_output=True, text=True)
 
     def test_a_name_the_stdout_encoding_lacks(self):
         # the ranking of the built-in table shows accented names, such as 'Cózar'
@@ -445,6 +453,19 @@ class TestUnwritableStdout:
         done = self.run_shell('exec "$0" -m lpmatch rank >/dev/full')
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("command", ["rank", "sweep"])
+    def test_a_pipe_whose_reader_is_gone(self, command):
+        # rank's output fits in the buffer, sweep's does not
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            done = subprocess.run([sys.executable, "-m", "lpmatch", command],
+                                  env=self.environment(), stdout=writer,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(writer)
+        assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 class TestOverflowInputs:

@@ -5,6 +5,10 @@ resolution of the real data; exact ties are therefore common and exercise
 the tie-sensitive code paths.  The batch reducer is also checked on
 differences up to 1.7e308, where norms overflow, and its row peaks (the
 L_inf distance and the scale of Ln) against a ``max(*row)`` reference.
+The per-row oracle hands ``math.hypot`` each row in descending order, the
+reducer in the order of its columns; an L2 failure there is a row on which
+``hypot`` depends on the order of its arguments, not a reducer fault:
+record the row, and pin it with hypothesis's ``@example``.
 """
 
 import math
