@@ -10,21 +10,19 @@ A ranking matches the target's references to the table's columns by folded
 name once, then works a whole column at a time: one list of |column - goal|
 differences per reference gives every candidate's distance through the batch
 reducer of ``core``, and one sort on the distances alone orders the
-candidates.  The columns are taken in ascending order of their folded
-reference keys, the order in which ``core`` reduces every L2.  Only rows
-whose distance equals another row's need the L2 tie-break, and they are
-re-sorted by (distance, L2, name) in place.  Each ranking decides once which
-rows get an L2, through the same reducer: differences are >= 0, so a row's
-L2 is at most sqrt(R) times its largest difference, which is at most any of
-its Lp distances.  While sqrt(R) times the largest distance stays below half
-the largest double no L2 can overflow, and only the tied rows get one;
-beyond that every row does, and that one pass is both the tie-break and the
-overflow check.  An L2 ranking's tied rows have their distance as their L2,
-so it makes no second pass.  So rankings, tie order and errors are the ones
-a full L2 pass gives.  The sort
-orders the table's own row ordinals (``DistanceTable`` builds 0..n once, and
-its subsets share them), and the entries take their ranks from the same
-tuple, so a ranking makes no int per row.
+candidates.  Only rows whose distance equals another row's need the L2
+tie-break, and they are re-sorted by (distance, L2, name) in place.  Each
+ranking decides once which rows get an L2, through the same reducer:
+differences are >= 0, so a row's L2 is at most sqrt(R) times its largest
+difference, which is at most any of its Lp distances.  While sqrt(R) times
+the largest distance stays below half the largest double no L2 can
+overflow, and only the tied rows get one; beyond that every row does, and
+that one pass is both the tie-break and the overflow check.  An L2
+ranking's tied rows have their distance as their L2, so it makes no second
+pass.  So rankings, tie order and errors are the ones a full L2 pass gives.
+The sort orders the table's own row ordinals (``DistanceTable`` builds 0..n
+once, and its subsets share them), and the entries take their ranks from
+the same tuple, so a ranking makes no int per row.
 ``gap_report`` and the paper grid's ``sweep`` (see ``paper``) rank a family
 of metrics from one set of differences, each metric breaking its own ties in
 the same way.  A distance or relative error that is not a finite double
@@ -49,7 +47,6 @@ from .core import (
     _Checked,
     _check_kind,
     _coerce,
-    _key_order,
     _norm,
     _norms,
     _shown,
@@ -145,8 +142,8 @@ def _rankings(
 ) -> dict[MetricSpec, list[RankingEntry]]:
     """The ranking of ``table`` under each of ``metrics``, in that order.
 
-    The |column - goal| differences are built once, in folded-key order,
-    and shared by every metric.  Each ranking sorts the table's row
+    The |column - goal| differences are built once, in the table's column
+    order, and shared by every metric.  Each ranking sorts the table's row
     ordinals on their distances, then re-sorts the rows whose distance is
     tied by (distance, L2, name), with the L2 of those rows only (an L2
     ranking's own distances); beyond the overflow bound it re-sorts every
@@ -157,15 +154,15 @@ def _rankings(
     goal = table.aligned(target)  # InvalidValue unless in its unit and references
     # a comprehension, which CPython 3.11 specializes for floats, builds
     # these about twice as fast as map(abs, map(sub, column, repeat(g)))
-    diffs = [[abs(v - g) for v in column]
-             for _, column, g in _key_order(table._keys, table.value_columns, goal)]
+    diffs = [[abs(v - g) for v in column] for column, g in zip(table.value_columns, goal)]
+    keys = table._keys
     names = table.candidates
     ordinals = table._ordinals  # 0..n, shared with the table's subsets
     every_row = ordinals[:-1]
     rankings = {}
     for metric in metrics:
         try:
-            distances = _norms(metric, diffs)
+            distances = _norms(metric, diffs, keys)
             order = sorted(every_row, key=distances.__getitem__)  # float keys, stable
             ordered = list(map(distances.__getitem__, order))
             # every Lp distance of a row, L_inf included, is at least its
@@ -185,7 +182,7 @@ def _rankings(
                 # an L2 ranking's tie-break is its own distances, which its
                 # distance pass has already checked for overflow
                 l2 = position_distances if metric == _L2 else _norms(
-                    _L2, [list(map(column.__getitem__, rows)) for column in diffs])
+                    _L2, [list(map(column.__getitem__, rows)) for column in diffs], keys)
                 keyed = sorted(zip(position_distances, l2, map(names.__getitem__, rows), rows))
                 for position, (_, _, _, row) in zip(positions, keyed):
                     order[position] = row
@@ -193,8 +190,8 @@ def _rankings(
             # name the metric that a row-by-row walk meets first, checking
             # each row's distance before its L2
             for row in zip(*diffs):
-                _norm(metric, row)
-                _norm(_L2, row)
+                _norm(metric, row, keys)
+                _norm(_L2, row, keys)
             raise
         # tuple.__new__ builds each entry as RankingEntry(name, distance, rank)
         # would, without a Python-level __new__ call per candidate; the ranks

@@ -41,7 +41,7 @@ def _metric(token: str) -> MetricSpec:
 
 def _positive_int(token: str) -> int:
     try:
-        value = int(token)
+        value = _number(token, kind=int)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{token!r} is not an integer") from None
     if value < 1:

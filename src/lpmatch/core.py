@@ -10,7 +10,8 @@ time.  Every metric is bit-exact under permutation of the input entries:
 L_inf takes a maximum, L1 and the inner sum of Ln use the correctly rounded
 ``math.fsum``, and L2, whose ``math.hypot`` may depend on input order,
 reduces each row's differences in ascending order of their references'
-folded keys, an order set by the references alone.  The maximum of
+folded keys, an order set by the references alone, which the batch
+reducer takes from the keys it is given.  The maximum of
 L_inf, and the peak that scales Ln, is reduced one column at a time, each
 row's running peak against the next column's difference; differences are
 finite and >= 0, so that is the same double as ``max`` over the row.
@@ -124,16 +125,16 @@ def _check_kind(value, kind, requirement: str) -> None:
         raise InvalidValue(f"{requirement}, got {_shown(value)}")
 
 
-def _number(text: str, comma: bool = False) -> float:
-    """A number given as text, read with ``float``, ``comma`` making ',' the
-    decimal point; raises ValueError, as for '1_0' or '١٢', unless it is ASCII
-    without ``_``."""
+def _number(text: str, comma: bool = False, kind=float):
+    """A number given as text, read with ``kind``, ``float`` or ``int``,
+    ``comma`` making ',' the decimal point; raises ValueError, as for '1_0'
+    or '١٢', unless it is ASCII without ``_``."""
     raw = text.strip()
     if comma:
         raw = raw.replace(",", ".")
     if not raw.isascii() or "_" in raw:
         raise ValueError(raw)
-    return float(raw)
+    return kind(raw)
 
 
 def _real(value: object) -> float:
@@ -268,12 +269,10 @@ class Profile(_Checked, namedtuple("Profile", "names values unit")):
     __slots__ = ()
 
     def __new__(cls, names: Iterable[str], values: Iterable[float], unit: Unit) -> "Profile":
-        return super().__new__(
-            cls,
-            _names(names, "profile names must be strings"),
-            _coerce(_floats, values, "profile distances must be real numbers"),
-            unit,
-        )
+        values = _coerce(_floats, values, "profile distances must be real numbers")
+        # + 0.0 stores a -0.0 as 0.0, so that it never prints as "-0.00"
+        return super().__new__(cls, _names(names, "profile names must be strings"),
+                               tuple(v + 0.0 for v in values), unit)
 
     def __post_init__(self) -> None:
         _check_kind(self.unit, Unit, "profile unit must be a Unit")
@@ -361,7 +360,8 @@ class MetricSpec(_Checked, namedtuple("MetricSpec", "order", defaults=(None,))):
         if key in ("linf", "l∞", "linfinity"):
             return cls.infinity()
         digits = key[1:]
-        if key.startswith("l") and digits.isdecimal():  # isdigit also admits '²'
+        # ASCII, as ``_number`` reads numbers; isdigit also admits '²'
+        if key.startswith("l") and digits.isascii() and digits.isdecimal():
             try:
                 order = int(digits)
             except ValueError:  # more digits than the interpreter's int-string limit
@@ -397,15 +397,18 @@ _HUGE_ORDER = 2**64
 _TINY = 5e-324
 
 
-def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]]) -> list[float]:
+def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]],
+           keys: Sequence[str]) -> list[float]:
     """Lp norm of each row of ``columns``.
 
     ``columns`` holds one equal-length sequence of non-negative differences
-    per reference, in ascending order of the references' folded keys: L2
-    hands each row to ``hypot`` in column order, and the other norms do not
-    depend on it.  Whole columns are reduced with C-level builtins or one
-    comprehension per column, so no Python function is called per row.
-    Raises InvalidValue when a norm is not a finite double.
+    per reference, and ``keys`` the references' folded keys, in the same
+    order.  L2 alone puts the columns in ascending key order and hands each
+    row to ``hypot`` in that order, set by the references alone; the other
+    norms reduce the columns as given and do not depend on their order.
+    Whole columns are reduced with C-level builtins or one comprehension per
+    column, so no Python function is called per row.  Raises InvalidValue
+    when a norm is not a finite double.
     """
     n = spec.order
     if n is None or n > 2:
@@ -423,7 +426,9 @@ def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]]) -> list[float]:
         if n == 1:
             norms = list(map(math.fsum, zip(*columns)))  # fsum does not depend on order
         elif n == 2:
-            norms = list(starmap(math.hypot, zip(*columns)))
+            # the keys are unique, so sorting compares no column
+            ordered = [column for _, column in sorted(zip(keys, columns))]
+            norms = list(starmap(math.hypot, zip(*ordered)))
         else:
             n = min(n, _HUGE_ORDER)
             # an all-zero row has ratios 0.0 and norm 0.0 * 0.0 == 0.0
@@ -440,17 +445,10 @@ def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]]) -> list[float]:
     return norms
 
 
-def _norm(spec: MetricSpec, diffs: Iterable[float]) -> float:
-    """Lp norm of one row of non-negative differences in folded-key order
-    (see ``_norms``)."""
-    return _norms(spec, [(d,) for d in diffs])[0]
-
-
-def _key_order(keys: Iterable[str], *fields: Iterable) -> list[tuple]:
-    """(key, *values) per reference, in ascending order of the folded
-    ``keys``: the order in which every L2 reduces a row (see ``_norms``).
-    The keys are unique, so no two values are compared."""
-    return sorted(zip(keys, *fields))
+def _norm(spec: MetricSpec, diffs: Iterable[float], keys: Sequence[str]) -> float:
+    """Lp norm of one row of non-negative differences, one per folded key
+    of ``keys`` in the same order (see ``_norms``)."""
+    return _norms(spec, [(d,) for d in diffs], keys)[0]
 
 
 def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
@@ -466,9 +464,9 @@ def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
     _check_kind(y, Profile, "y must be a Profile")
     if x.unit is not y.unit:
         raise InvalidValue(f"cannot compare a {x.unit.value} profile with a {y.unit.value} one")
-    keys, ours = zip(*_key_order(_keys(_lines(x.names)), x.values))
+    keys = _keys(_lines(x.names))
     theirs = y.aligned_values(keys)
-    return _norm(spec, (abs(a - b) for a, b in zip(ours, theirs)))
+    return _norm(spec, (abs(a - b) for a, b in zip(x.values, theirs)), keys)
 
 
 def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) -> Profile:
@@ -495,5 +493,4 @@ def magnitude(spec: MetricSpec, p: Profile) -> float:
     """Distance from ``p`` to the all-zero profile over the same references."""
     _check_kind(spec, MetricSpec, "spec must be a MetricSpec")
     _check_kind(p, Profile, "p must be a Profile")
-    keyed = _key_order(_keys(_lines(p.names)), p.values)
-    return _norm(spec, (abs(value) for _, value in keyed))
+    return _norm(spec, map(abs, p.values), _keys(_lines(p.names)))

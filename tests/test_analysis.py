@@ -22,7 +22,15 @@ from lpmatch.analysis import (
     target_profile,
     top_k,
 )
-from lpmatch.core import ConversionRates, MetricSpec, Profile, Unit, magnitude, metric_distance
+from lpmatch.core import (
+    ConversionRates,
+    MetricSpec,
+    Profile,
+    Unit,
+    _norms,
+    magnitude,
+    metric_distance,
+)
 from lpmatch.dataset import REFERENCES, DistanceTable, builtin_table, subset_references
 from lpmatch.paper import (
     Configuration,
@@ -244,9 +252,9 @@ class TestTieBreakOverflow:
                                   (2.0,) * 4, (2.0,) * 4)
         reduced = []
 
-        def recorded(spec, columns):
+        def recorded(spec, columns, keys):
             reduced.append((spec.token, len(columns[0])))
-            return norms(spec, columns)
+            return norms(spec, columns, keys)
 
         norms = analysis._norms
         monkeypatch.setattr(analysis, "_norms", recorded)
@@ -279,9 +287,9 @@ class TestTieBreakOverflow:
         target = Profile(FOUR, (1.0,) * 4, Unit.KILOMETERS)
         reduced = []
 
-        def recorded(spec, columns):
+        def recorded(spec, columns, keys):
             reduced.append((spec.token, len(columns[0])))
-            return norms(spec, columns)
+            return norms(spec, columns, keys)
 
         norms = analysis._norms
         monkeypatch.setattr(analysis, "_norms", recorded)
@@ -365,6 +373,24 @@ class TestL2InFoldedKeyOrder:
         assert len(hypot_calls) > 12
         assert {tuple(round(c / call[0]) for c in call) for call in hypot_calls} == {(1, 2, 3, 4)}
 
+    def test_norms_puts_only_l2_in_key_order(self, hypot_calls):
+        # (key, column) pairs in every order: each L2 row reaches hypot in
+        # ascending key order, and the norms that reduce the columns as
+        # given give the same bits in every order
+        rng = random.Random(29)
+        keyed = [(key, [rng.randrange(1, 400) / 8 for _ in range(6)])
+                 for key in ("alpha", "beta", "ebano", "zeta")]
+        in_key_order = list(zip(*(column for _, column in keyed)))
+        results = {metric: set() for metric in (LINF, L1, MetricSpec.ln(3), MetricSpec.ln(40))}
+        for pairs in itertools.permutations(keyed):
+            keys, columns = zip(*pairs)
+            hypot_calls.clear()
+            _norms(L2, columns, keys)
+            assert hypot_calls == in_key_order
+            for metric, seen in results.items():
+                seen.add(tuple(x.hex() for x in _norms(metric, columns, keys)))
+        assert all(len(seen) == 1 for seen in results.values())
+
     def test_results_do_not_depend_on_the_order_or_spelling_of_references(self, hypot_calls):
         rng = random.Random(2027)
         for _ in range(10):
@@ -374,8 +400,10 @@ class TestL2InFoldedKeyOrder:
             for references in itertools.permutations(KEY_PLACE):
                 table, target = arranged(rng, references, columns, goal)
                 row = row_profile(table, "C0")
-                results.add(repr((rank_candidates(table, target, L2), gap_report(table, target),
-                                  metric_distance(L2, row, target), magnitude(L2, target))))
+                results.add(repr([gap_report(table, target)] + [
+                    (rank_candidates(table, target, metric), metric_distance(metric, row, target),
+                     magnitude(metric, target))
+                    for metric in (LINF, L1, L2, MetricSpec.ln(3))]))
             assert len(results) == 1
 
 
@@ -528,9 +556,9 @@ class TestSweep:
                 return fn(*args)
             return wrapper
 
-        def recorded(spec, columns):
+        def recorded(spec, columns, keys):
             reduced.append(len(columns[0]))
-            return norms(spec, columns)
+            return norms(spec, columns, keys)
 
         # one ranking pass per family, one full-table reduction and one
         # relative-error scale per family metric; the L2 tie-break reduces

@@ -71,6 +71,11 @@ class TestRank:
         assert code == 0
         assert out.splitlines()[0].startswith("locality,")
 
+    def test_a_negative_zero_target_prints_as_zero(self, capsys):
+        code, out, _ = invoke(capsys, "rank", "--solution=-0,2.37,2.5,2", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == "LUGAR DE LA MANCHA,0.00,73.47,77.50,62.00,0.00"
+
     def test_jsonl_format(self, capsys):
         code, out, _ = invoke(capsys, "rank", "--metric", "l2", "--format", "jsonl")
         assert code == 0
@@ -144,6 +149,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("token, message", [
         ("0", "'0' must be >= 1"),
         ("x", "'x' is not an integer"),
+        ("1_0", "'1_0' is not an integer"),
+        ("٣", "'٣' is not an integer"),
+        ("３", "'３' is not an integer"),
     ])
     def test_top_must_be_a_positive_integer(self, capsys, token, message):
         with pytest.raises(SystemExit) as info:

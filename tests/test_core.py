@@ -129,7 +129,7 @@ class TestMetricSpec:
         assert MetricSpec.parse("L1").order == 1
         assert MetricSpec.parse("l17").order == 17
 
-    @pytest.mark.parametrize("bad", ["l0", "l-1", "l1.5", "manhattan", ""])
+    @pytest.mark.parametrize("bad", ["l0", "l-1", "l1.5", "manhattan", "", "l３", "l٣"])
     def test_parse_rejects(self, bad):
         with pytest.raises(InvalidValue):
             MetricSpec.parse(bad)

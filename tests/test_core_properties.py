@@ -6,9 +6,10 @@ the tie-sensitive code paths.  The batch reducer is also checked on
 differences up to 1.7e308, where norms overflow, and its row peaks (the
 L_inf distance and the scale of Ln) against a ``max(*row)`` reference.
 The per-row oracle hands ``math.hypot`` each row in descending order, the
-reducer in the order of its columns; an L2 failure there is a row on which
-``hypot`` depends on the order of its arguments, not a reducer fault:
-record the row, and pin it with hypothesis's ``@example``.
+reducer in ascending order of its columns' keys, which the tests permute
+with the columns; an L2 failure there is a row on which ``hypot`` depends
+on the order of its arguments, not a reducer fault: record the row, and
+pin it with hypothesis's ``@example``.
 """
 
 import math
@@ -184,7 +185,7 @@ def difference_columns(draw):
     if draw(st.booleans()):
         rows[draw(st.integers(min_value=0, max_value=n_rows - 1))] = [0.0] * n_refs
     order = draw(st.permutations(range(n_refs)))
-    return rows, [[row[i] for row in rows] for i in order]
+    return rows, [[row[i] for row in rows] for i in order], [f"k{i}" for i in order]
 
 
 @pytest.mark.parametrize("order", [None, 1, 2, 3, 40, 2**64 + 1],
@@ -194,15 +195,15 @@ def difference_columns(draw):
 def test_batch_reducer_equals_a_per_row_oracle(order, data):
     """_norms over (permuted) columns equals, under ==, each row's norm from
     the written-out formulas, or raises InvalidValue when one is not finite."""
-    rows, columns = data
+    rows, columns, keys = data
     expected = [oracle_row_norm(order, row) for row in rows]
     spec = MetricSpec(order)
     if math.inf in expected:
         with pytest.raises(InvalidValue, match=f"the {spec.token} distance"):
-            _norms(spec, columns)
+            _norms(spec, columns, keys)
     else:
-        assert _norms(spec, columns) == expected
-        assert [_norm(spec, row) for row in rows] == expected
+        assert _norms(spec, columns, keys) == expected
+        assert [_norm(spec, row, sorted(keys)) for row in rows] == expected
 
 
 DBL_MAX = sys.float_info.max
@@ -232,7 +233,8 @@ def peak_columns(draw):
         st.floats(min_value=0.0, max_value=DBL_MAX),
     )
     rows = [draw(st.lists(value, min_size=n_refs, max_size=n_refs)) for _ in range(n_rows)]
-    return rows, [[row[i] for row in rows] for i in range(n_refs)]
+    order = draw(st.permutations(range(n_refs)))
+    return rows, [[row[i] for row in rows] for i in order], [f"k{i}" for i in order]
 
 
 @pytest.mark.parametrize("order", [None, 3, 40], ids=["linf", "l3", "l40"])
@@ -241,11 +243,11 @@ def peak_columns(draw):
 def test_row_peaks_equal_a_max_reference(order, data):
     """The peaks reduced one column at a time are the doubles that max(*row)
     gives, so every L_inf and Ln result is bit for bit the reference's."""
-    rows, columns = data
+    rows, columns, keys = data
     expected = [max_row_norm(order, row) for row in rows]
     spec = MetricSpec(order)
     if math.inf in expected:
         with pytest.raises(InvalidValue, match=f"the {spec.token} distance"):
-            _norms(spec, columns)
+            _norms(spec, columns, keys)
     else:
-        assert [x.hex() for x in _norms(spec, columns)] == [x.hex() for x in expected]
+        assert [x.hex() for x in _norms(spec, columns, keys)] == [x.hex() for x in expected]
