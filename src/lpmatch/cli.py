@@ -17,6 +17,7 @@ to encode it).
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -255,8 +256,15 @@ def _write(output: str) -> None:
     except UnicodeEncodeError as exc:  # a name that stdout's encoding lacks
         raise OSError(f"cannot write the output: {exc}") from None
     except OSError:
-        # what stays in the buffer would fail again at exit: fd 1 takes it now
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            fd = sys.stdout.fileno()
+        except io.UnsupportedOperation:
+            pass  # a stream without a descriptor, such as a caller's StringIO
+        else:
+            # what stays in the buffer would fail again at exit: fd 1 takes it now
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         raise
 
 

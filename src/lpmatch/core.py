@@ -474,7 +474,8 @@ def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) ->
 
     Only conversion out of jornadas is supported: kilometers and hours are
     measurements of different quantities and are never converted into each
-    other.  ``target=Unit.JORNADAS`` returns ``p`` unchanged.
+    other.  ``target=Unit.JORNADAS`` returns ``p`` unchanged.  Raises
+    InvalidValue where a converted value exceeds the largest double.
     """
     _check_kind(p, Profile, "p must be a Profile")
     _check_kind(target, Unit, "target must be a Unit")
@@ -486,7 +487,14 @@ def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) ->
     if target is Unit.JORNADAS:
         return p
     rate = rates.km_per_jornada if target is Unit.KILOMETERS else rates.hours_per_jornada
-    return Profile(p.names, tuple(v * rate for v in p.values), target)
+    values = tuple(v * rate for v in p.values)
+    if math.inf in values:  # a finite value times a finite rate
+        i = values.index(math.inf)
+        raise InvalidValue(
+            f"distance for {p.names[i]!r} exceeds the largest double in {target.value} "
+            f"({p.values[i]!r} jornadas at {float(rate)!r} per jornada)"
+        )
+    return Profile(p.names, values, target)
 
 
 def magnitude(spec: MetricSpec, p: Profile) -> float:

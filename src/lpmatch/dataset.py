@@ -167,9 +167,9 @@ class DistanceTable:
             rows = _coerce(iter, rows, "table rows must be an iterable of (name, values) pairs")
             fields = _walked_fields(rows, len(refs))
         else:
-            fields = _fast_fields(*_columns)
-            if fields is None:  # the row walk raises the first row's error
-                fields = _walked_fields(zip(_columns[0], zip(*_columns[1])), len(refs))
+            # where the column check fails, the row walk raises the first row's error
+            fields = _fast_fields(*_columns) or _walked_fields(
+                zip(_columns[0], zip(*_columns[1])), len(refs))
         candidates, index, columns = fields
         self._unit = unit
         self._references = refs
@@ -354,14 +354,15 @@ def _split_cells(text: str, delimiter: str, comma: bool) -> tuple | None:
     """The header, raw candidate names and float value columns of ``text``,
     from its lines split at ``delimiter``; None unless that is how csv reads
     it, every line is a record of the header's width and every value cell is
-    ASCII without ``_``.
+    a number, ASCII without ``_``.
 
     Without '"', '\\r' or NUL, a csv record is a '\\n'-ended line split at
     the delimiter, and no field is longer than its line.  A blank line, or a
     line of another width, returns None; so does a blank header, which csv
     would skip.  The value cells come as one text, row after row, joined by
     '\\n', which is checked and has its decimal commas replaced at once.
-    Raises ValueError where a cell is not a number.
+    A cell that ``float`` refuses returns None too, and the record walk then
+    names it; this function never raises.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -383,21 +384,26 @@ def _split_cells(text: str, delimiter: str, comma: bool) -> tuple | None:
     if comma:
         cells = cells.replace(",", ".")
     cells = cells.split("\n")
-    # float() ignores the same surrounding whitespace that the walk strips
-    columns = [tuple(map(float, cells[j::width])) for j in range(width)]
+    try:
+        # float() ignores the same surrounding whitespace that the walk strips
+        columns = [tuple(map(float, cells[j::width])) for j in range(width)]
+    except ValueError:
+        return None  # a cell that is not a number
     header = [cell.strip() for cell in lines[0].split(delimiter)]
     return header, list(map(itemgetter(0), rows)), columns
 
 
-def _walked_rows(text: str, delimiter: str, comma: bool) -> tuple[list, list]:
-    """The header and (name, values) rows of ``text``, read one csv record
-    after another; raises ParseError at the first malformed record, such as
-    one with a field over the csv module's size limit."""
+def _walked_rows(text: str, delimiter: str, comma: bool) -> tuple:
+    """The same triple as ``_split_cells``, the header, raw candidate names
+    and float value columns of ``text``, read one csv record after another;
+    raises ParseError at the first malformed record, such as one with a field
+    over the csv module's size limit."""
     import csv
 
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     header: list[str] | None = None
-    rows: list[tuple[str, tuple[float, ...]]] = []
+    names: list[str] = []
+    rows: list[tuple[float, ...]] = []
     try:
         for record in reader:
             line = reader.line_num
@@ -424,12 +430,13 @@ def _walked_rows(text: str, delimiter: str, comma: bool) -> tuple[list, list]:
                         line=line,
                         column=col,
                     ) from None
-            rows.append((record[0].strip(), tuple(values)))
+            names.append(record[0].strip())
+            rows.append(tuple(values))
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
     if header is None or not rows:
         raise InvalidValue("table has no candidate rows")
-    return header, rows
+    return header, names, list(zip(*rows))
 
 
 def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTable:
@@ -449,15 +456,9 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
     if decimal == "auto":
         decimal = "comma" if delimiter in (";", "\t") else "dot"
     comma = decimal == "comma"
-    try:
-        parsed = _split_cells(text, delimiter, comma)
-    except ValueError:
-        parsed = None
-    if parsed is None:  # the record walk raises the first malformed record's error
-        header, rows = _walked_rows(text, delimiter, comma)
-        names, values = zip(*rows)
-        parsed = header, names, list(zip(*values))
-    header, names, columns = parsed
+    # where the split path defers, the record walk raises the first malformed record's error
+    header, names, columns = (_split_cells(text, delimiter, comma)
+                              or _walked_rows(text, delimiter, comma))
     return DistanceTable(unit, header[1:], None, _columns=(names, columns))
 
 

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -475,6 +477,16 @@ class TestUnwritableStdout:
             os.close(writer)
         assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
 
+    def test_a_stdout_without_a_file_descriptor(self, capsys, monkeypatch):
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        assert run(["rank"]) == 1
+        message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestOverflowInputs:
     """Finite inputs beyond what a double holds end in a result or a clean error."""
@@ -504,6 +516,12 @@ class TestOverflowInputs:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "exceeds the largest double" in err
+
+    def test_a_target_that_converts_past_the_largest_double_exits_1(self, capsys):
+        code, out, err = invoke(capsys, "rank", "--solution", "1e308,2.37,2.5,2")
+        assert (code, out) == (1, "")
+        assert err == ("error: distance for 'Venta de Cárdenas' exceeds the largest double "
+                       "in kilometers (1e+308 jornadas at 31.0 per jornada)\n")
 
     def test_large_finite_cells_render_in_full(self, capsys, tmp_path):
         path = self.write(tmp_path, "x;1e300;2e300;3e300", "y;1,5e300;1e300;1e300")

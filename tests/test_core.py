@@ -262,6 +262,17 @@ class TestConvert:
         zero = Profile(REFS, (0.0, 0.0, 0.0, 0.0), Unit.JORNADAS)
         assert convert(zero, Unit.KILOMETERS).values == (0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("target,rates,shown", [
+        (Unit.KILOMETERS, DEFAULT_RATES, "kilometers (1e+308 jornadas at 31.0 per jornada)"),
+        (Unit.HOURS, ConversionRates(hours_per_jornada=1e300),
+         "hours (1e+308 jornadas at 1e+300 per jornada)"),
+    ])
+    def test_a_value_that_converts_past_the_largest_double(self, target, rates, shown):
+        jor = Profile(REFS, (2.0, 1e308, 2.5, 2.0), Unit.JORNADAS)
+        message = f"distance for 'Puerto Lápice' exceeds the largest double in {shown}"
+        with pytest.raises(InvalidValue, match=re.escape(message) + "$"):
+            convert(jor, target, rates)
+
 
 class TestMagnitude:
     def test_l1_golden(self):

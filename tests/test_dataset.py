@@ -663,7 +663,8 @@ def test_a_quote_free_table_takes_the_split_path(monkeypatch):
                                   "name;a\r\r\nX;1\n", "name;a\nW\rX;1\n", "name;a\nX;1\n\n \n",
                                   "name;a\r\n\r\nX;1\r\n",
                                   "name;a\nX;1;2\n", ";\nX;1\n", "name;a\nX;1;2\n3\n",
-                                  "name;a;b\n7\nX;1;2;3\n", "name\nX;1\n"])
+                                  "name;a;b\n7\nX;1;2;3\n", "name\nX;1\n",
+                                  "name;a\nX;x\n", "name;a\nX;1.5.2\n"])
 def test_other_shapes_leave_the_split_path(text):
     assert dataset._split_cells(text, ";", True) is None
     read = outcome(lambda: parse_table(text, unit=Unit.HOURS))
