@@ -235,8 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 0 and sys.stdout is not None:
+                _write("")  # flushes the help that argparse left in stdout's buffer
+            raise
         _write(args.handler(args))
     except (_UsageError, LpmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

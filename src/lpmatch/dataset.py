@@ -23,18 +23,19 @@ column, a stride slice of the cells, is converted with one
 ends or blank lines for instance, and every text whose cells the split path
 cannot convert, is walked one csv record after another, which raises the
 first malformed record's error; only then is the csv module imported.  Both
-paths end in the same column check: the table checks each column with
-C-level reductions (every value finite, the minimum above zero) and finds
-duplicate candidates from the size of its key index.  Where that fails, the
-rows are walked one after another, and that walk alone decides which error
-is raised, with the same message, line and column as a row-by-row load.
-Rows handed to the constructor as (name, values) pairs take the row walk
-directly.  A name's key, which every lookup matches, is ``core.fold_name``
-of its spelling.  ``_labelled`` gives names their keys and display
-spellings (canonical, else title-cased) from one whitespace collapse
-(``core._lines``), one fold (``core._keys``) and one title-casing: the whole
-name column at once on the split path, one name at a time in the row walk.
-A cell is a number only if it is ASCII without ``_``.
+paths end in the same column check, which ``parse_table`` runs: it checks
+each column with C-level reductions (every value finite, the minimum above
+zero) and finds duplicate candidates from the size of its key index.  Where
+that fails, the rows are walked one after another, and that walk alone
+decides which error is raised, with the same message, line and column as a
+row-by-row load.  Rows handed to the constructor as (name, values) pairs
+take the row walk directly.  Either way one function, ``_filled``, sets
+every field of a new table.  A name's key, which every lookup matches, is
+``core.fold_name`` of its spelling.  ``_labelled`` gives names their keys
+and display spellings (canonical, else title-cased) from one whitespace
+collapse (``core._lines``), one fold (``core._keys``) and one title-casing:
+the whole name column at once on the split path, one name at a time in the
+row walk.  A cell is a number only if it is ASCII without ``_``.
 """
 
 from __future__ import annotations
@@ -142,53 +143,49 @@ def _walked_fields(rows: Iterable, width: int) -> tuple:
     return tuple(names), index, tuple(zip(*values))
 
 
+def _reference_labels(unit: Unit, references: Sequence[str]) -> tuple:
+    """The display spellings and keys of a table's ``references``; raises
+    InvalidValue unless ``unit`` is a Unit and the references are at least
+    one name, no key twice."""
+    _check_kind(unit, Unit, "table unit must be a Unit")
+    references = _names(references, "table references must be an iterable of names")
+    if not references:
+        raise InvalidValue("a table needs at least one reference column")
+    refs, keys = _labelled(references)
+    if len(set(keys)) != len(refs):
+        raise InvalidValue("duplicate reference name in table header")
+    return refs, keys
+
+
+def _filled(table: "DistanceTable", unit: Unit, labels: tuple, fields: tuple) -> "DistanceTable":
+    """``table`` with every field set, from its references' ``labels`` and
+    the (candidates, index, columns) ``fields`` of its rows."""
+    table._unit = unit
+    table._references, table._keys = labels
+    table._candidates, table._index, table._columns = fields
+    table._ordinals = tuple(range(len(table._candidates) + 1))  # 0..n, read by rankings
+    return table
+
+
 class DistanceTable:
     """Immutable candidate-by-reference distance matrix in a single unit,
     stored column by column."""
 
-    def __init__(
-        self,
-        unit: Unit,
-        references: Sequence[str],
-        rows: Iterable[tuple[str, Sequence[float]]],
-        *,
-        _columns: tuple | None = None,
-    ):
-        """``_columns``, used by ``parse_table`` in place of ``rows``, is the
-        raw candidate names, as strings, and one float tuple per reference."""
-        _check_kind(unit, Unit, "table unit must be a Unit")
-        references = _names(references, "table references must be an iterable of names")
-        if not references:
-            raise InvalidValue("a table needs at least one reference column")
-        refs, keys = _labelled(references)
-        if len(set(keys)) != len(refs):
-            raise InvalidValue("duplicate reference name in table header")
-        if _columns is None:
-            rows = _coerce(iter, rows, "table rows must be an iterable of (name, values) pairs")
-            fields = _walked_fields(rows, len(refs))
-        else:
-            # where the column check fails, the row walk raises the first row's error
-            fields = _fast_fields(*_columns) or _walked_fields(
-                zip(_columns[0], zip(*_columns[1])), len(refs))
-        candidates, index, columns = fields
-        self._unit = unit
-        self._references = refs
-        self._keys = keys
-        self._candidates = candidates
-        self._columns = columns
-        self._index = index
-        self._ordinals = tuple(range(len(candidates) + 1))  # 0..n, read by rankings
+    def __init__(self, unit: Unit, references: Sequence[str],
+                 rows: Iterable[tuple[str, Sequence[float]]]):
+        labels = _reference_labels(unit, references)
+        rows = _coerce(iter, rows, "table rows must be an iterable of (name, values) pairs")
+        _filled(self, unit, labels, _walked_fields(rows, len(labels[0])))
 
     def _project(self, indices: Sequence[int]) -> "DistanceTable":
-        """The table restricted to the columns at ``indices``, without re-validating."""
+        """The table restricted to the columns at ``indices``, without
+        re-validating.  The subset shares its parent's candidates, key index,
+        row ordinals and value tuples; the index is never mutated."""
         table = object.__new__(DistanceTable)
-        table._unit = self._unit
+        vars(table).update(vars(self))
         table._references = tuple(self._references[i] for i in indices)
         table._keys = tuple(self._keys[i] for i in indices)
-        table._candidates = self._candidates
-        table._columns = tuple(self._columns[i] for i in indices)  # tuples are shared
-        table._index = self._index  # never mutated, so it can be shared
-        table._ordinals = self._ordinals
+        table._columns = tuple(self._columns[i] for i in indices)
         return table
 
     @property
@@ -459,7 +456,11 @@ def parse_table(text: str, *, unit: Unit, decimal: str = "auto") -> DistanceTabl
     # where the split path defers, the record walk raises the first malformed record's error
     header, names, columns = (_split_cells(text, delimiter, comma)
                               or _walked_rows(text, delimiter, comma))
-    return DistanceTable(unit, header[1:], None, _columns=(names, columns))
+    labels = _reference_labels(unit, header[1:])
+    # where the column check fails, the row walk raises the first row's error
+    fields = _fast_fields(names, columns) or _walked_fields(zip(names, zip(*columns)),
+                                                            len(labels[0]))
+    return _filled(object.__new__(DistanceTable), unit, labels, fields)
 
 
 def serialize_table(table: DistanceTable, *, delimiter: str = ",") -> str:

@@ -139,14 +139,19 @@ class RenderedTable(_Checked, namedtuple("RenderedTable", "title header rows")):
         return "\n".join(lines) + "\n"
 
 
+def _figure_header(table: DistanceTable) -> tuple[str, ...]:
+    """The locality column, then one "<reference> (<unit>)" column per reference."""
+    return ("locality",) + tuple(f"{r} ({table.unit.short})" for r in table.references)
+
+
+def _figure_row(name: str, values: Sequence[float]) -> tuple[str, ...]:
+    return (name,) + tuple(format_2dp(v) for v in values)
+
+
 def build_dataset_table(table: DistanceTable, title: str) -> RenderedTable:
     _check_kind(table, DistanceTable, "table must be a DistanceTable")
-    header = ("locality",) + tuple(f"{r} ({table.unit.short})" for r in table.references)
-    rows = tuple(
-        (name,) + tuple(format_2dp(v) for v in values)
-        for name, values in zip(table.candidates, table.value_rows)
-    )
-    return RenderedTable(title, header, rows)
+    rows = tuple(map(_figure_row, table.candidates, table.value_rows))
+    return RenderedTable(title, _figure_header(table), rows)
 
 
 def ranking_title(metric: MetricSpec, solution: SolutionProfile, table: DistanceTable) -> str:
@@ -171,21 +176,13 @@ def build_ranking_table(
     _check_kind(table, DistanceTable, "table must be a DistanceTable")
     _check_kind(target, Profile, "target must be a Profile")
     _check_kind(metric, MetricSpec, "metric must be a MetricSpec")
-    header = (
-        ("locality",)
-        + tuple(f"{r} ({table.unit.short})" for r in table.references)
-        + (metric.column,)
-    )
-    target_values = table.aligned(target)  # the alignment the ranking used
-    rows = [(TARGET_LABEL,) + tuple(format_2dp(v) for v in target_values) + (format_2dp(0.0),)]
-    for entry in top_k(ranking, k):
-        values = table.row_values(entry.candidate)
-        rows.append(
-            (entry.candidate,)
-            + tuple(format_2dp(v) for v in values)
-            + (format_2dp(entry.distance),)
-        )
-    return RenderedTable(title, header, tuple(rows))
+    header = _figure_header(table) + (metric.column,)
+    target_row = (TARGET_LABEL, table.aligned(target), 0.0)  # the alignment the ranking used
+    # each entry's row values are looked up just before its cells are formatted
+    entries = chain((target_row,), ((entry.candidate, table.row_values(entry.candidate),
+                                     entry.distance) for entry in top_k(ranking, k)))
+    rows = tuple(_figure_row(name, (*values, distance)) for name, values, distance in entries)
+    return RenderedTable(title, header, rows)
 
 
 def build_error_listing(

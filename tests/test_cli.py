@@ -459,14 +459,16 @@ class TestUnwritableStdout:
         assert done.stderr == "error: cannot write the output: stdout is closed\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_a_full_device(self):
-        done = self.run_shell('exec "$0" -m lpmatch rank >/dev/full')
+    @pytest.mark.parametrize("command", ["rank", "--help"])
+    def test_a_full_device(self, command):
+        # argparse leaves the help in stdout's buffer and exits 0
+        done = self.run_shell(f'exec "$0" -m lpmatch {command} >/dev/full')
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: [Errno 28] No space left on device\n"
 
-    @pytest.mark.parametrize("command", ["rank", "sweep"])
+    @pytest.mark.parametrize("command", ["rank", "sweep", "--help"])
     def test_a_pipe_whose_reader_is_gone(self, command):
-        # rank's output fits in the buffer, sweep's does not
+        # rank's output and the help fit in the buffer, sweep's does not
         reader, writer = os.pipe()
         os.close(reader)
         try:

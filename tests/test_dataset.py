@@ -307,8 +307,18 @@ class TestColumnStorage:
         assert builtin_table("km")._ordinals == tuple(range(25))
 
     def test_a_subset_shares_its_parents_ordinals(self):
-        sub = subset_references(self.TABLE, ("C", "a"))
-        assert sub._ordinals is self.TABLE._ordinals
+        parent = self.TABLE
+        sub = subset_references(parent, ("C", "a"))
+        # a subset, and a subset of it, share the parent's row data; projecting
+        # leaves the parent's own references, keys and columns as they were
+        for table in (sub, subset_references(sub, ("c",))):
+            assert table.candidates is parent.candidates
+            assert table._index is parent._index
+            assert table._ordinals is parent._ordinals
+        assert (sub.references, sub._keys) == (("A", "C"), ("a", "c"))
+        assert parent.references == ("A", "B", "C")
+        assert parent._keys == ("a", "b", "c")
+        assert parent.value_columns == ((1.0, 4.0), (2.0, 5.0), (3.0, 6.0))
 
 
 class TestDistanceTableValidation:
