@@ -11,7 +11,10 @@ handler.
 Exit codes: 0 on success, 2 on usage errors (bad flags or tokens, unreadable
 data file), 1 on data errors (malformed file content, incompatible inputs)
 and on output that stdout cannot take (closed, full, a broken pipe, or unable
-to encode it).
+to encode it).  ``_write`` writes every byte: the result and the help on
+stdout, and an ``error:`` line or argparse's usage error on stderr.  A closed
+or full stderr changes no exit code, and nothing printed for an error reaches
+stdout.
 """
 
 from __future__ import annotations
@@ -170,8 +173,30 @@ _QUERIES = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, writing the help and usage errors through ``_write``.
+
+    Every subparser is one too, since argparse builds them with the parent's type.
+    """
+
+    def print_help(self, file=None):
+        if file is None:  # with stdout closed, the help goes to stderr, as in argparse
+            _write(self.format_help(), "stdout" if sys.stdout is not None else "stderr")
+        else:
+            super().print_help(file)
+
+    def error(self, message):
+        # argparse's own error prints the usage to stdout when stderr is closed,
+        # and leaves a full stderr's text buffered to fail again at exit
+        try:
+            _write(f"{self.format_usage()}{self.prog}: error: {message}\n", "stderr")
+        except OSError:
+            pass  # a closed or full stderr changes no exit code
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpmatch",
         description="Rank candidates by Minkowski-metric closeness of their "
                     "distance profiles to a target profile.",
@@ -236,37 +261,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            if exc.code == 0 and sys.stdout is not None:
-                _write("")  # flushes the help that argparse left in stdout's buffer
-            raise
+        args = build_parser().parse_args(argv)
         _write(args.handler(args))
     except (_UsageError, LpmatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            _write(f"error: {exc}\n", "stderr")
+        except OSError:
+            pass  # a closed or full stderr changes no exit code
         return 2 if isinstance(exc, _UsageError) else 1
     return 0
 
 
-def _write(output: str) -> None:
-    """``output`` on stdout, or OSError where stdout cannot take it."""
-    if sys.stdout is None:  # fd 1 was closed when the process started
-        raise OSError("cannot write the output: stdout is closed")
+def _write(output: str, stream: str = "stdout") -> None:
+    """``output`` on ``sys.<stream>``, or OSError where that stream cannot take it."""
+    file = getattr(sys, stream)
+    if file is None:  # its descriptor was closed when the process started
+        raise OSError(f"cannot write the output: {stream} is closed")
     try:
         # flushed here, so that a full device or a closed pipe fails inside
-        # run's error path and not in the interpreter's flush at exit
-        sys.stdout.write(output)
-        sys.stdout.flush()
+        # run and not in the interpreter's flush at exit
+        file.write(output)
+        file.flush()
     except UnicodeEncodeError as exc:  # a name that stdout's encoding lacks
         raise OSError(f"cannot write the output: {exc}") from None
     except OSError:
         try:
-            fd = sys.stdout.fileno()
+            fd = file.fileno()
         except io.UnsupportedOperation:
             pass  # a stream without a descriptor, such as a caller's StringIO
         else:
-            # what stays in the buffer would fail again at exit: fd 1 takes it now
+            # what stays in the buffer would fail again at exit: os.devnull takes it
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)

@@ -431,14 +431,16 @@ class TestReproduceCommand:
 class TestUnwritableStdout:
     """Output that stdout cannot take ends in an error line and exit 1.
 
-    Each run has a buffered stdout, as under a plain shell: output smaller
-    than the buffer only fails when it is flushed.
+    Each run has a buffered stdout, as under a plain shell, unless a case sets
+    PYTHONUNBUFFERED: output smaller than the buffer only fails when it is
+    flushed.
     """
 
     @staticmethod
     def environment(**env):
-        env = dict(os.environ, **env)
-        env.pop("PYTHONUNBUFFERED", None)
+        base = dict(os.environ)
+        base.pop("PYTHONUNBUFFERED", None)
+        env = dict(base, **env)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
         return env
 
@@ -459,21 +461,24 @@ class TestUnwritableStdout:
         assert done.stderr == "error: cannot write the output: stdout is closed\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("command", ["rank", "--help"])
-    def test_a_full_device(self, command):
-        # argparse leaves the help in stdout's buffer and exits 0
-        done = self.run_shell(f'exec "$0" -m lpmatch {command} >/dev/full')
+    @pytest.mark.parametrize("command, env", [("rank", {}), ("--help", {}),
+                                              ("--help", {"PYTHONUNBUFFERED": "1"})],
+                             ids=["rank", "--help", "--help-unbuffered"])
+    def test_a_full_device(self, command, env):
+        done = self.run_shell(f'exec "$0" -m lpmatch {command} >/dev/full', **env)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: [Errno 28] No space left on device\n"
 
-    @pytest.mark.parametrize("command", ["rank", "sweep", "--help"])
-    def test_a_pipe_whose_reader_is_gone(self, command):
+    @pytest.mark.parametrize("command, env", [("rank", {}), ("sweep", {}), ("--help", {}),
+                                              ("--help", {"PYTHONUNBUFFERED": "1"})],
+                             ids=["rank", "sweep", "--help", "--help-unbuffered"])
+    def test_a_pipe_whose_reader_is_gone(self, command, env):
         # rank's output and the help fit in the buffer, sweep's does not
         reader, writer = os.pipe()
         os.close(reader)
         try:
             done = subprocess.run([sys.executable, "-m", "lpmatch", command],
-                                  env=self.environment(), stdout=writer,
+                                  env=self.environment(**env), stdout=writer,
                                   stderr=subprocess.PIPE, text=True)
         finally:
             os.close(writer)
@@ -488,6 +493,49 @@ class TestUnwritableStdout:
         assert run(["rank"]) == 1
         message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestUnwritableStderr:
+    """An error with stderr closed or full keeps its exit code and leaves stdout empty."""
+
+    def run_shell(self, redirect, *argv):
+        return subprocess.run(["/bin/sh", "-c", f'exec "$0" -m lpmatch "$@" {redirect}',
+                               sys.executable, *argv],
+                              env=TestUnwritableStdout.environment(), capture_output=True,
+                              text=True)
+
+    @pytest.mark.parametrize("redirect", [
+        "2>&-",
+        pytest.param("2>/dev/full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    ])
+    @pytest.mark.parametrize("argv, code", [
+        (("rank", "--data", "missing.csv"), 2),
+        (("rank", "--bogus"), 2),
+        (("rank", "--solution", "1e308,2.37,2.5,2"), 1),
+    ], ids=["missing-data", "unknown-option", "overflowing-solution"])
+    def test_an_error_keeps_its_exit_code(self, tmp_path, redirect, argv, code):
+        argv = [str(tmp_path / part) if part == "missing.csv" else part for part in argv]
+        done = self.run_shell(redirect, *argv)
+        assert (done.returncode, done.stdout) == (code, "")
+
+    def test_a_closed_stderr_leaves_the_result_whole(self):
+        plain = self.run_shell("", "rank")
+        done = self.run_shell("2>&-", "rank")
+        assert (done.returncode, done.stdout) == (0, plain.stdout)
+        assert plain.stdout.startswith("#")
+
+    def test_no_stderr_in_process(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "stderr", None)
+        assert run(["rank", "--data", str(tmp_path / "missing.csv")]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_no_stderr_in_process_for_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", None)
+        with pytest.raises(SystemExit) as info:
+            run(["rank", "--bogus"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestOverflowInputs:
@@ -662,4 +710,6 @@ class TestHelp:
         with pytest.raises(SystemExit) as info:
             run(["gaps", "--top", "3"])
         assert info.value.code == 2
-        assert "error: unrecognized arguments: --top 3\n" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", (
+            "usage: lpmatch [-h] {rank,errors,gaps,sweep,reproduce} ...\n"
+            "lpmatch: error: unrecognized arguments: --top 3\n"))

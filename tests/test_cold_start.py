@@ -23,7 +23,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 START_UP_ONLY = {"dataclasses", "inspect", "json", "lpmatch.paper", "typing", "pathlib",
-                 "decimal", "csv"}
+                 "decimal", "csv", "contextlib"}
 
 # every name the package exported before the paper grid moved to lpmatch.paper
 EXPORTED = (
