@@ -4,9 +4,9 @@ Subcommands: ``rank`` (candidates closest to a target), ``errors`` (relative
 errors of the top candidates), ``gaps`` (second-minus-first gap analysis),
 ``sweep`` (the full built-in analysis grid on stdout) and ``reproduce`` (the
 complete document set written to a directory).  Only ``sweep`` and
-``reproduce`` import ``paper``, the module of the built-in grid.  The three
-query commands are declared once, in ``_QUERIES``; each subparser names its
-handler.
+``reproduce`` import ``paper``, the module of the built-in grid.  Every
+command is declared once, in ``_COMMANDS``: its name, its help, its handler
+and its options, which ``build_parser`` adds in one loop.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags or tokens, unreadable
 data file), 1 on data errors (malformed file content, incompatible inputs)
@@ -161,15 +161,50 @@ def _cmd_reproduce(args: argparse.Namespace) -> str:
     return "".join(f"{path}\n" for path in written)
 
 
-_LN_METRIC = (MetricSpec.ln(2), "l1, l2, linf or l<n> (default: l2)")
+def _top(default: int) -> tuple:
+    return ("--top", dict(type=_positive_int, default=default,
+                          help=f"number of candidates to show (default: {default})"))
 
-# The query commands, which share the data options: name, help, handler,
-# --top default (None: no --top), and --metric default and help.
-_QUERIES = (
-    ("rank", "rank candidates by distance to the target", _cmd_rank, 5, *_LN_METRIC),
-    ("errors", "relative errors of the closest candidates", _cmd_errors, 3, *_LN_METRIC),
-    ("gaps", "second-minus-first gap analysis", _cmd_gaps, None, None,
-     "accepted for interface symmetry; gaps always evaluate the L_inf, L_1, L_2 family"),
+
+# The options of the three query commands that name their data and target.
+_DATA = (
+    ("--data", dict(default="builtin:km",
+                    help="data source: builtin:km, builtin:hours, or a path to a "
+                         "delimiter-separated file (default: builtin:km)")),
+    ("--unit", dict(default="km",
+                    help="unit of a file data source: km, hours or jornadas (default: km); "
+                         "ignored for builtin sources")),
+    ("--decimal", dict(choices=("auto", "dot", "comma"), default="auto",
+                       help="decimal separator of a file data source (default: auto)")),
+    ("--solution", dict(default="classic",
+                        help="target profile: 'classic', 'refined', or a comma-separated list "
+                             "of jornada values bound positionally to the data's reference "
+                             "order (default: classic)")),
+    # one list for every parser and run: argparse's append copies it, never mutates it
+    ("--exclude", dict(action="append", default=[], metavar="REFERENCE",
+                       help="drop a reference point from both the data and the solution; "
+                            "repeatable")),
+)
+_FORMAT = ("--format", dict(choices=report.FORMATS, default="md",
+                            help="output format (default: md)"))
+_L2_METRIC = ("--metric", dict(type=_metric, default=MetricSpec.ln(2),
+                               help="l1, l2, linf or l<n> (default: l2)"))
+
+# Every command: name, help, handler and options, in the order --help lists them.
+_COMMANDS = (
+    ("rank", "rank candidates by distance to the target", _cmd_rank,
+     (*_DATA, _top(5), _FORMAT, _L2_METRIC)),
+    ("errors", "relative errors of the closest candidates", _cmd_errors,
+     (*_DATA, _top(3), _FORMAT, _L2_METRIC)),
+    ("gaps", "second-minus-first gap analysis", _cmd_gaps,
+     (*_DATA, _FORMAT,
+      ("--metric", dict(type=_metric, help="accepted for interface symmetry; gaps always "
+                                           "evaluate the L_inf, L_1, L_2 family")))),
+    ("sweep", "run the full built-in analysis grid", _cmd_sweep, (_FORMAT,)),
+    ("reproduce", "write the complete document set", _cmd_reproduce,
+     (("--outdir", dict(required=True, help="output directory")),
+      ("--format", dict(choices=report.FORMATS, default="md",
+                        help="document format (default: md)")))),
 )
 
 
@@ -202,60 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "distance profiles to a target profile.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text, handler, top, metric, metric_help in _QUERIES:
-        p_query = sub.add_parser(name, help=help_text)
-        p_query.set_defaults(handler=handler)
-        p_query.add_argument(
-            "--data",
-            default="builtin:km",
-            help="data source: builtin:km, builtin:hours, or a path to a "
-                 "delimiter-separated file (default: builtin:km)",
-        )
-        p_query.add_argument(
-            "--unit",
-            default="km",
-            help="unit of a file data source: km, hours or jornadas (default: km); "
-                 "ignored for builtin sources",
-        )
-        p_query.add_argument(
-            "--decimal",
-            choices=("auto", "dot", "comma"),
-            default="auto",
-            help="decimal separator of a file data source (default: auto)",
-        )
-        p_query.add_argument(
-            "--solution",
-            default="classic",
-            help="target profile: 'classic', 'refined', or a comma-separated list "
-                 "of jornada values bound positionally to the data's reference "
-                 "order (default: classic)",
-        )
-        p_query.add_argument(
-            "--exclude",
-            action="append",
-            default=[],
-            metavar="REFERENCE",
-            help="drop a reference point from both the data and the solution; repeatable",
-        )
-        if top is not None:
-            p_query.add_argument("--top", type=_positive_int, default=top,
-                                 help=f"number of candidates to show (default: {top})")
-        p_query.add_argument("--format", choices=report.FORMATS, default="md",
-                             help="output format (default: md)")
-        p_query.add_argument("--metric", type=_metric, default=metric, help=metric_help)
-
-    p_sweep = sub.add_parser("sweep", help="run the full built-in analysis grid")
-    p_sweep.set_defaults(handler=_cmd_sweep)
-    p_sweep.add_argument("--format", choices=report.FORMATS, default="md",
-                         help="output format (default: md)")
-
-    p_rep = sub.add_parser("reproduce", help="write the complete document set")
-    p_rep.set_defaults(handler=_cmd_reproduce)
-    p_rep.add_argument("--outdir", required=True, help="output directory")
-    p_rep.add_argument("--format", choices=report.FORMATS, default="md",
-                       help="document format (default: md)")
-
+    for name, help_text, handler, options in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        for flag, settings in options:
+            command.add_argument(flag, **settings)
     return parser
 
 

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from lpmatch import cli
 from lpmatch.cli import run
+from lpmatch.core import MetricSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -713,3 +715,40 @@ class TestHelp:
         assert capsys.readouterr() == ("", (
             "usage: lpmatch [-h] {rank,errors,gaps,sweep,reproduce} ...\n"
             "lpmatch: error: unrecognized arguments: --top 3\n"))
+
+
+class TestParserTable:
+    """The defaults each subparser gets from the one table of commands."""
+
+    @pytest.mark.parametrize("argv", [["rank"], ["errors"], ["gaps"], ["sweep"],
+                                      ["reproduce", "--outdir", "x"]], ids=lambda argv: argv[0])
+    def test_defaults_per_command(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        name = argv[0]
+        assert args.handler is getattr(cli, f"_cmd_{name}")
+        assert args.format == "md"
+        if name in ("rank", "errors"):
+            assert args.top == {"rank": 5, "errors": 3}[name]
+            assert args.metric == MetricSpec.ln(2)
+        else:
+            assert not hasattr(args, "top")
+        if name == "gaps":
+            assert args.metric is None
+        if name in ("rank", "errors", "gaps"):
+            assert args.exclude == []
+
+    def test_an_exclusion_does_not_reach_the_next_run(self, capsys):
+        # the --exclude default is one list, shared by every parser and run
+        outputs = []
+        for argv in (["rank"], ["rank", "--exclude", "Munera"], ["rank"]):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[2] != outputs[1]
+
+    def test_help_into_an_explicit_file(self, capsys):
+        parser = cli.build_parser()
+        buffer = io.StringIO()
+        parser.print_help(buffer)
+        assert buffer.getvalue() == parser.format_help()
+        assert capsys.readouterr() == ("", "")
