@@ -49,7 +49,7 @@ from .core import (
     _coerce,
     _norm,
     _norms,
-    _shown,
+    _require,
     convert,
     magnitude,
 )
@@ -204,8 +204,7 @@ def _rankings(
 def top_k(ranking: Sequence[RankingEntry], k: int = 5) -> list[RankingEntry]:
     """First min(k, N) entries of a ranking."""
     _check_kind(ranking, Sequence, "ranking must be a sequence of RankingEntry")
-    if _coerce(index, k, "k must be an integer") < 1:
-        raise InvalidValue(f"k must be >= 1, got {_shown(k)}")
+    _require(_coerce(index, k, "k must be an integer") >= 1, k, "k must be >= 1")
     shown = list(ranking[:k])
     for entry in shown:
         _check_kind(entry, RankingEntry, "a ranking entry must be a RankingEntry")
@@ -217,8 +216,8 @@ def relative_error_percent(distance: float, target: Profile, metric: MetricSpec)
     _check_kind(target, Profile, "target must be a Profile")
     _check_kind(metric, MetricSpec, "metric must be a MetricSpec")
     requirement = "distance must be finite and >= 0"
-    if not _coerce(math.isfinite, distance, requirement) or distance < 0.0:
-        raise InvalidValue(f"{requirement}, got {_shown(distance)}")
+    _require(_coerce(math.isfinite, distance, requirement) and distance >= 0.0, distance,
+             requirement)
     return _percent(distance, _scale(target, metric))
 
 

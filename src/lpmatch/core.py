@@ -32,10 +32,13 @@ read by ``_number``, the rule for data files too, which refuses '1_0' and
 non-ASCII digits; bytes-like text is read the same way.  Every operand that
 is not converted, one of the package's objects, a name or a cell, is checked
 on entry by the other helper, ``_check_kind``, whose InvalidValue has the
-same shape: "table must be a DistanceTable, got None".  The elements of a
-container operand are checked one by one, by ``_elements``; a named-tuple
-result is trusted by kind, its fields unchecked.  An operand handed on
-unchanged to another public function or checked record is checked there.
+same shape: "table must be a DistanceTable, got None".  Every such message,
+"<requirement>, got <value>", is built by ``_require``, which ``_check_kind``
+and each range check call; ``_coerce`` builds it only for a conversion that
+fails.  The elements of a container operand are checked one by one, by
+``_elements``; a named-tuple result is trusted by kind, its fields unchecked.
+An operand handed on unchanged to another public function or checked record
+is checked there.
 
 Every list of names a caller gives is read by ``_names``.  Each lookup folds
 its whole list to ``fold_name`` keys at once: the names, whitespace collapsed,
@@ -112,17 +115,27 @@ def _coerce(convert, value, requirement: str):
         raise InvalidValue(f"{requirement}, got {_shown(value)}") from None
 
 
+def _require(ok, value, requirement: str) -> None:
+    """InvalidValue "<requirement>, got <value>" unless ``ok``.
+
+    ``requirement`` names the field and what it must be, as in "k must be
+    >= 1"; it is a constant or an already built string, so a check that
+    passes builds no message.
+    """
+    if not ok:
+        raise InvalidValue(f"{requirement}, got {_shown(value)}")
+
+
 def _check_kind(value, kind, requirement: str) -> None:
-    """InvalidValue "<requirement>, got <value>" unless ``value`` is an
-    instance of ``kind``, a type or a tuple of types.
+    """``_require`` of ``isinstance(value, kind)``, ``kind`` a type or a
+    tuple of types.
 
     ``requirement`` names the operand and its kind, as in "table must be a
     DistanceTable".  This is the one kind rule of the package: an operand of
     the wrong kind gives a library caller an LpmatchError, never the
     AttributeError or TypeError of its first use.
     """
-    if not isinstance(value, kind):
-        raise InvalidValue(f"{requirement}, got {_shown(value)}")
+    _require(isinstance(value, kind), value, requirement)
 
 
 def _number(text: str, comma: bool = False, kind=float):
@@ -166,12 +179,11 @@ def _elements(values: Iterable, kind, requirement: str, element_requirement: str
 def _names(names: Iterable[str], requirement: str) -> tuple[str, ...]:
     """``names`` as a tuple of strings.  A bare string, which would iterate
     as one-letter names, raises InvalidValue as a non-iterable does."""
-    if isinstance(names, str):
-        raise InvalidValue(f"{requirement}, got {_shown(names)}")
+    _require(not isinstance(names, str), names, requirement)
     return _elements(names, str, requirement, "a name must be a string")
 
 
-_ASCII = frozenset(map(chr, range(128)))
+_ASCII = bytes(range(128))
 
 # folded alternate spelling -> folded name: "Fuencollana" is an accepted
 # alternate spelling of the locality Fuenllana
@@ -192,7 +204,10 @@ def _folded(text: str) -> str:
     if text.isascii():  # NFKD leaves ASCII as it is, and casefold is lower
         return text.lower()
     text = unicodedata.normalize("NFKD", text.casefold())
-    for char in set(text) - _ASCII:
+    # the distinct characters left once the ASCII bytes of its UTF-8 are
+    # deleted; "surrogatepass" carries a lone surrogate through
+    for char in set(text.encode("utf-8", "surrogatepass").translate(None, _ASCII)
+                    .decode("utf-8", "surrogatepass")):
         # "i" for the dotless ı, as its title case I folds, nothing for a
         # combining mark, the character itself otherwise
         kept = "i" if char == "ı" else "" if unicodedata.combining(char) else char
@@ -256,8 +271,7 @@ class ConversionRates(_Checked, namedtuple("ConversionRates", "km_per_jornada ho
         for label, rate in (("km_per_jornada", self.km_per_jornada),
                             ("hours_per_jornada", self.hours_per_jornada)):
             requirement = f"{label} must be finite and > 0"
-            if not _coerce(math.isfinite, rate, requirement) or rate <= 0.0:
-                raise InvalidValue(f"{requirement}, got {_shown(rate)}")
+            _require(_coerce(math.isfinite, rate, requirement) and rate > 0.0, rate, requirement)
 
 
 DEFAULT_RATES = ConversionRates()
@@ -339,8 +353,7 @@ class MetricSpec(_Checked, namedtuple("MetricSpec", "order", defaults=(None,))):
         if self.order is not None:
             requirement = "metric order must be an integer >= 1"
             order = _coerce(int, self.order, requirement)
-            if order != self.order or order < 1:
-                raise InvalidValue(f"{requirement}, got {_shown(self.order)}")
+            _require(order == self.order and order >= 1, self.order, requirement)
 
     @classmethod
     def infinity(cls) -> "MetricSpec":

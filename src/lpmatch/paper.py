@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .core import (
     DEFAULT_RATES, ConversionRates, MetricSpec, Unit, _Checked, _check_kind, _coerce, _elements,
-    _names, _shown,
+    _names, _require,
 )
 from .dataset import REFERENCES, builtin_table, subset_references
 from .errors import InvalidValue
@@ -384,8 +384,7 @@ def write_document_set(
 
     path = _coerce(os.fspath, outdir, "outdir must be a str or os.PathLike path")
     _check_kind(path, str, "outdir must be a str or os.PathLike path")
-    if not path or "\0" in path:
-        raise InvalidValue(f"outdir must be a non-empty path without NUL, got {_shown(path)}")
+    _require(path and "\0" not in path, path, "outdir must be a non-empty path without NUL")
     documents = build_document_set(run_builtin_grid(rates))
     for stem, unit in (("table_01", Unit.KILOMETERS), ("table_05", Unit.HOURS)):
         documents[stem] = build_dataset_table(builtin_table(unit),

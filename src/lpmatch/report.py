@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from itertools import chain
 
 from .analysis import GapReport, RankingEntry, SolutionProfile, relative_error_percent, top_k
-from .core import MetricSpec, Profile, _Checked, _check_kind, _coerce, _real, _shown
+from .core import MetricSpec, Profile, _Checked, _check_kind, _coerce, _real, _require, _shown
 from .dataset import DistanceTable
 from .errors import InvalidValue
 
@@ -56,8 +56,7 @@ def format_2dp(x: float) -> str:
     The text is a figure cell: a jsonl record writes it as a JSON number.
     """
     value = _coerce(_real, x, "a value to format must be a real number")
-    if not math.isfinite(value):
-        raise InvalidValue(f"a value to format must be finite, got {_shown(x)}")
+    _require(math.isfinite(value), x, "a value to format must be finite")
     text = repr(value)
     sign = "-" if text[0] == "-" else ""
     mantissa, _, exponent = text.lstrip("-").partition("e")
@@ -77,8 +76,7 @@ def format_2dp(x: float) -> str:
 def _check_sequence(value, requirement: str) -> None:
     """InvalidValue "<requirement>, got <value>" unless ``value`` is a
     sequence other than a str, which would read as its characters."""
-    if isinstance(value, str):
-        raise InvalidValue(f"{requirement}, got {_shown(value)}")
+    _require(not isinstance(value, str), value, requirement)
     _check_kind(value, Sequence, requirement)
 
 

@@ -806,6 +806,14 @@ def test_fold_name_matches_the_generator_oracle_on_every_bmp_code_point():
             assert fold_name(text) == oracle_fold(text), hex(point)
 
 
+def test_fold_name_matches_the_generator_oracle_on_astral_code_points():
+    # code points beyond the BMP take four bytes in UTF-8
+    for point in range(0x10000, 0x110000, 61):
+        char = chr(point)
+        for text in (char, "a" + char):
+            assert fold_name(text) == oracle_fold(text), hex(point)
+
+
 def test_the_column_fold_matches_the_oracle_on_every_bmp_code_point(monkeypatch):
     def walk(*args):
         raise AssertionError("row walk taken")

@@ -233,6 +233,20 @@ class TruthlessNames:
     (lambda: top_k(RANKING, "3"), r"^k must be an integer, got '3'$"),
     (lambda: relative_error_percent("1", TARGET, MetricSpec(1)),
      r"^distance must be finite and >= 0, got '1'$"),
+    # a value of the right type but outside its range
+    (lambda: top_k(RANKING, 0), r"^k must be >= 1, got 0$"),
+    (lambda: relative_error_percent(-1.0, TARGET, M1),
+     r"^distance must be finite and >= 0, got -1\.0$"),
+    (lambda: relative_error_percent(math.inf, TARGET, M1),
+     r"^distance must be finite and >= 0, got inf$"),
+    (lambda: MetricSpec(2.5), r"^metric order must be an integer >= 1, got 2\.5$"),
+    (lambda: MetricSpec(0), r"^metric order must be an integer >= 1, got 0$"),
+    (lambda: format_2dp(math.inf), r"^a value to format must be finite, got inf$"),
+    (lambda: format_2dp(-math.inf), r"^a value to format must be finite, got -inf$"),
+    (lambda: RenderedTable("t", "ab", ()),
+     r"^a document header must be a sequence of cells, got 'ab'$"),
+    (lambda: RenderedTable("t", ("a",), ("x",)),
+     r"^a document row must be a sequence of cells, got 'x'$"),
     (lambda: DistanceTable(KM, ("a",), [("c", ("x",))]),
      r"^table distances must be real numbers, got \('x',\)$"),
     (lambda: DistanceTable(KM, ("a",), [(None, (1.0,))]), r"^a name must be a string, got None$"),
