@@ -7,12 +7,12 @@ ascending L2 distance to the target, then by candidate name, which keeps the
 result deterministic.
 
 A ranking matches the target's references to the table's columns by folded
-name once, then works a whole column at a time: one list of |column - goal|
-differences per reference gives every candidate's distance through the batch
-reducer of ``core``, and one sort on the distances alone orders the
+name once, then works a whole column at a time: the kernel of ``core``
+measures every candidate's row of the table's value columns against the
+target's values, and one sort on the distances alone orders the
 candidates.  Only rows whose distance equals another row's need the L2
 tie-break, and they are re-sorted by (distance, L2, name) in place.  Each
-ranking decides once which rows get an L2, through the same reducer:
+ranking decides once which rows get an L2, through the same kernel:
 differences are >= 0, so a row's L2 is at most sqrt(R) times its largest
 difference, which is at most any of its Lp distances.  While sqrt(R) times
 the largest distance stays below half the largest double no L2 can
@@ -20,12 +20,14 @@ overflow, and only the tied rows get one; beyond that every row does, and
 that one pass is both the tie-break and the overflow check.  An L2
 ranking's tied rows have their distance as their L2, so it makes no second
 pass.  So rankings, tie order and errors are the ones a full L2 pass gives.
+No list of differences outlives the kernel call, and a ranking drops its
+distances in table order before it builds its entries.
 The sort orders the table's own row ordinals (``DistanceTable`` builds 0..n
 once, and its subsets share them), and the entries take their ranks from
 the same tuple, so a ranking makes no int per row.
 ``gap_report`` and the paper grid's ``sweep`` (see ``paper``) rank a family
-of metrics from one set of differences, each metric breaking its own ties in
-the same way.  A distance or relative error that is not a finite double
+of metrics from one aligned target, each metric breaking its own ties in the
+same way.  A distance or relative error that is not a finite double
 raises InvalidValue.
 """
 
@@ -142,8 +144,8 @@ def _rankings(
 ) -> dict[MetricSpec, list[RankingEntry]]:
     """The ranking of ``table`` under each of ``metrics``, in that order.
 
-    The |column - goal| differences are built once, in the table's column
-    order, and shared by every metric.  Each ranking sorts the table's row
+    The target is aligned with the table once, and every metric measures
+    the table's value columns against it.  Each ranking sorts the table's row
     ordinals on their distances, then re-sorts the rows whose distance is
     tied by (distance, L2, name), with the L2 of those rows only (an L2
     ranking's own distances); beyond the overflow bound it re-sorts every
@@ -152,9 +154,7 @@ def _rankings(
     first of ``metrics`` to meet one.
     """
     goal = table.aligned(target)  # InvalidValue unless in its unit and references
-    # a comprehension, which CPython 3.11 specializes for floats, builds
-    # these about twice as fast as map(abs, map(sub, column, repeat(g)))
-    diffs = [[abs(v - g) for v in column] for column, g in zip(table.value_columns, goal)]
+    columns = table.value_columns
     keys = table._keys
     names = table.candidates
     ordinals = table._ordinals  # 0..n, shared with the table's subsets
@@ -162,12 +162,13 @@ def _rankings(
     rankings = {}
     for metric in metrics:
         try:
-            distances = _norms(metric, diffs, keys)
+            distances = _norms(metric, columns, goal, keys)
             order = sorted(every_row, key=distances.__getitem__)  # float keys, stable
             ordered = list(map(distances.__getitem__, order))
+            del distances  # so the collections that the entries trigger do not walk it
             # every Lp distance of a row, L_inf included, is at least its
             # largest difference, and its L2 at most sqrt(R) times that
-            if ordered[-1] * math.sqrt(len(diffs)) < _L2_SAFE:
+            if ordered[-1] * math.sqrt(len(keys)) < _L2_SAFE:
                 # the positions in ``order`` of every row whose distance
                 # equals a neighbour's, ascending
                 tied = list(compress(ordinals, map(eq, ordered, islice(ordered, 1, None))))
@@ -182,16 +183,16 @@ def _rankings(
                 # an L2 ranking's tie-break is its own distances, which its
                 # distance pass has already checked for overflow
                 l2 = position_distances if metric == _L2 else _norms(
-                    _L2, [list(map(column.__getitem__, rows)) for column in diffs], keys)
+                    _L2, [list(map(column.__getitem__, rows)) for column in columns], goal, keys)
                 keyed = sorted(zip(position_distances, l2, map(names.__getitem__, rows), rows))
                 for position, (_, _, _, row) in zip(positions, keyed):
                     order[position] = row
         except InvalidValue:
             # name the metric that a row-by-row walk meets first, checking
             # each row's distance before its L2
-            for row in zip(*diffs):
-                _norm(metric, row, keys)
-                _norm(_L2, row, keys)
+            for row in zip(*columns):
+                _norm(metric, row, goal, keys)
+                _norm(_L2, row, goal, keys)
             raise
         # tuple.__new__ builds each entry as RankingEntry(name, distance, rank)
         # would, without a Python-level __new__ call per candidate; the ranks

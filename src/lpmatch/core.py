@@ -8,18 +8,21 @@ profiles listing the same references in different orders are equivalent.
 Distances are computed in double precision; rounding happens only at display
 time.  Every metric is bit-exact under permutation of the input entries:
 L_inf takes a maximum, L1 and the inner sum of Ln use the correctly rounded
-``math.fsum``, and L2, whose ``math.hypot`` may depend on input order,
-reduces each row's differences in ascending order of their references'
-folded keys, an order set by the references alone, which the batch
-reducer takes from the keys it is given.  The maximum of
-L_inf, and the peak that scales Ln, is reduced one column at a time, each
-row's running peak against the next column's difference; differences are
-finite and >= 0, so that is the same double as ``max`` over the row.
+``math.fsum``, and L2, whose ``math.dist`` (the ``math.hypot`` of the
+differences) may depend on input order, takes the coordinates in ascending
+order of their references' folded keys, an order set by the references
+alone, which the batch kernel takes from the keys it is given.  That
+kernel, ``_norms``, measures whole columns of values against a goal: L2
+hands each row and the goal to ``math.dist``; L_inf keeps each row's
+running peak of |v - g|, one column at a time, which for finite
+differences >= 0 is the same double as ``max`` over the row; only L1 and Ln
+build the columns of differences, and Ln scales them by that same peak.
 Aligning by name is separate from that reduction, so a ranking aligns its
-table with the target once and reduces whole columns of differences at a
-time.  The L2 that breaks a ranking's distance ties goes through the same
-batch reducer, given the columns of the tied rows only; the rankings are
-unchanged by that (see ``analysis``).  A distance that is not a finite
+table with the target once and hands the kernel the table's own columns.
+The L2 that breaks a ranking's distance ties goes through the same kernel,
+given the columns of the tied rows only; the rankings are unchanged by
+that (see ``analysis``).  ``metric_distance`` and ``magnitude`` (against
+an all-zero goal) are its one-row case.  A distance that is not a finite
 double (finite inputs whose L1, L2 or Ln total exceeds the largest double)
 raises InvalidValue.
 
@@ -53,7 +56,7 @@ import unicodedata
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import repeat, starmap
+from itertools import repeat
 from operator import mul, truediv
 
 from .errors import InvalidValue
@@ -410,47 +413,57 @@ _HUGE_ORDER = 2**64
 _TINY = 5e-324
 
 
-def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]],
+def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]], goal: Sequence[float],
            keys: Sequence[str]) -> list[float]:
-    """Lp norm of each row of ``columns``.
+    """Lp distance of each row of ``columns`` to ``goal``.
 
-    ``columns`` holds one equal-length sequence of non-negative differences
-    per reference, and ``keys`` the references' folded keys, in the same
-    order.  L2 alone puts the columns in ascending key order and hands each
-    row to ``hypot`` in that order, set by the references alone; the other
-    norms reduce the columns as given and do not depend on their order.
-    Whole columns are reduced with C-level builtins or one comprehension per
+    ``columns`` holds one equal-length sequence of finite values >= 0 per
+    reference, and ``goal`` and ``keys`` each reference's goal value and
+    folded key, in the same order.  L2 alone puts the references in
+    ascending key order and hands each row and the goal to ``math.dist`` in
+    that order, set by the references alone; the other norms reduce the
+    columns as given and do not depend on their order.  L_inf keeps each
+    row's running peak of |v - g| one column at a time; only L1 and Ln
+    build the |v - g| columns, and those stay local to the call.  Whole
+    columns are reduced with C-level builtins or one comprehension per
     column, so no Python function is called per row.  Raises InvalidValue
-    when a norm is not a finite double.
+    when a distance is not a finite double.
     """
     n = spec.order
-    if n is None or n > 2:
-        # each row's largest difference, one column at a time: for a few
-        # references the float comparison in a comprehension, which CPython
-        # 3.11 specializes, is cheaper than a max(*row) call per row; for
-        # many references, and under 3.13's vectorcall max, it costs more.
-        # Ties keep the earlier value, as max does; differences are never nan
-        peaks = list(columns[0])
-        for column in columns[1:]:
-            peaks = [p if p >= d else d for p, d in zip(peaks, column)]
-        if n is None:
-            return peaks
+    if n is None:
+        # a comprehension's float comparison, which CPython 3.11 specializes,
+        # is cheaper than a max() call per row; ties keep the earlier value,
+        # as max does, and differences are never nan.  ``for d in [x]`` is
+        # compiled as an assignment
+        g = goal[0]
+        peaks = [abs(v - g) for v in columns[0]]
+        for column, g in zip(columns[1:], goal[1:]):
+            peaks = [p if p >= d else d for p, v in zip(peaks, column) for d in [abs(v - g)]]
+        return peaks
     try:
-        if n == 1:
-            norms = list(map(math.fsum, zip(*columns)))  # fsum does not depend on order
-        elif n == 2:
-            # the keys are unique, so sorting compares no column
-            ordered = [column for _, column in sorted(zip(keys, columns))]
-            norms = list(starmap(math.hypot, zip(*ordered)))
+        if n == 2:
+            # the keys are unique, so sorting compares no column; dist takes
+            # fabs(v - g) of each coordinate, as abs does, and reduces them
+            # as hypot does
+            _, columns, goal = zip(*sorted(zip(keys, columns, goal)))
+            norms = list(map(math.dist, zip(*columns), repeat(goal)))
         else:
-            n = min(n, _HUGE_ORDER)
-            # an all-zero row has ratios 0.0 and norm 0.0 * 0.0 == 0.0
-            divisors = list(map(max, peaks, repeat(_TINY))) if 0.0 in peaks else peaks
-            exponent = float(n)  # what d ** n converts n to
-            powers = (map(pow, map(truediv, column, divisors), repeat(exponent))
-                      for column in columns)
-            sums = map(math.fsum, zip(*powers))
-            norms = list(map(mul, peaks, map(pow, sums, repeat(1.0 / n))))
+            diffs = [[abs(v - g) for v in column] for column, g in zip(columns, goal)]
+            if n == 1:
+                norms = list(map(math.fsum, zip(*diffs)))  # fsum does not depend on order
+            else:
+                # each row's largest difference, one column at a time, as for L_inf
+                peaks = diffs[0]
+                for column in diffs[1:]:
+                    peaks = [p if p >= d else d for p, d in zip(peaks, column)]
+                n = min(n, _HUGE_ORDER)
+                # an all-zero row has ratios 0.0 and norm 0.0 * 0.0 == 0.0
+                divisors = list(map(max, peaks, repeat(_TINY))) if 0.0 in peaks else peaks
+                exponent = float(n)  # what d ** n converts n to
+                powers = (map(pow, map(truediv, column, divisors), repeat(exponent))
+                          for column in diffs)
+                sums = map(math.fsum, zip(*powers))
+                norms = list(map(mul, peaks, map(pow, sums, repeat(1.0 / n))))
     except OverflowError:  # an L1 total beyond the largest double
         norms = [math.inf]
     if math.inf in norms:
@@ -458,10 +471,11 @@ def _norms(spec: MetricSpec, columns: Sequence[Sequence[float]],
     return norms
 
 
-def _norm(spec: MetricSpec, diffs: Iterable[float], keys: Sequence[str]) -> float:
-    """Lp norm of one row of non-negative differences, one per folded key
-    of ``keys`` in the same order (see ``_norms``)."""
-    return _norms(spec, [(d,) for d in diffs], keys)[0]
+def _norm(spec: MetricSpec, row: Sequence[float], goal: Sequence[float],
+          keys: Sequence[str]) -> float:
+    """Lp distance of one row of values to ``goal``, one value of each per
+    folded key of ``keys`` in the same order (see ``_norms``)."""
+    return _norms(spec, [(v,) for v in row], goal, keys)[0]
 
 
 def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
@@ -478,8 +492,7 @@ def metric_distance(spec: MetricSpec, x: Profile, y: Profile) -> float:
     if x.unit is not y.unit:
         raise InvalidValue(f"cannot compare a {x.unit.value} profile with a {y.unit.value} one")
     keys = _keys(_lines(x.names))
-    theirs = y.aligned_values(keys)
-    return _norm(spec, (abs(a - b) for a, b in zip(x.values, theirs)), keys)
+    return _norm(spec, x.values, y.aligned_values(keys), keys)
 
 
 def convert(p: Profile, target: Unit, rates: ConversionRates = DEFAULT_RATES) -> Profile:
@@ -514,4 +527,4 @@ def magnitude(spec: MetricSpec, p: Profile) -> float:
     """Distance from ``p`` to the all-zero profile over the same references."""
     _check_kind(spec, MetricSpec, "spec must be a MetricSpec")
     _check_kind(p, Profile, "p must be a Profile")
-    return _norm(spec, map(abs, p.values), _keys(_lines(p.names)))
+    return _norm(spec, p.values, (0.0,) * len(p.values), _keys(_lines(p.names)))

@@ -252,9 +252,9 @@ class TestTieBreakOverflow:
                                   (2.0,) * 4, (2.0,) * 4)
         reduced = []
 
-        def recorded(spec, columns, keys):
+        def recorded(spec, columns, goal, keys):
             reduced.append((spec.token, len(columns[0])))
-            return norms(spec, columns, keys)
+            return norms(spec, columns, goal, keys)
 
         norms = analysis._norms
         monkeypatch.setattr(analysis, "_norms", recorded)
@@ -287,9 +287,9 @@ class TestTieBreakOverflow:
         target = Profile(FOUR, (1.0,) * 4, Unit.KILOMETERS)
         reduced = []
 
-        def recorded(spec, columns, keys):
+        def recorded(spec, columns, goal, keys):
             reduced.append((spec.token, len(columns[0])))
-            return norms(spec, columns, keys)
+            return norms(spec, columns, goal, keys)
 
         norms = analysis._norms
         monkeypatch.setattr(analysis, "_norms", recorded)
@@ -323,17 +323,18 @@ SPELLINGS = {"Zeta": ("Zeta", "ZETA", "zEtA"), "Ébano": ("Ébano", "ebano", "É
 
 
 @pytest.fixture
-def hypot_calls(monkeypatch):
-    """The arguments of every ``math.hypot`` call, answered by a stand-in
-    whose result depends on their order: the i-th absolute value is weighted
-    by i."""
+def dist_calls(monkeypatch):
+    """The |p - q| coordinates of every ``math.dist(p, q)`` call, answered by
+    a stand-in whose result depends on their order: the i-th is weighted by
+    i."""
     calls = []
 
-    def hypot(*coordinates):
+    def dist(p, q):
+        coordinates = tuple(abs(a - b) for a, b in zip(p, q))
         calls.append(coordinates)
-        return math.fsum(i * abs(c) for i, c in enumerate(coordinates, 1))
+        return math.fsum(i * c for i, c in enumerate(coordinates, 1))
 
-    monkeypatch.setattr(math, "hypot", hypot)
+    monkeypatch.setattr(math, "dist", dist)
     return calls
 
 
@@ -350,12 +351,13 @@ def arranged(rng, references, columns, goal):
 
 
 class TestL2InFoldedKeyOrder:
-    """Every L2 hands its row to ``math.hypot`` in ascending order of the
+    """Every L2 hands its row and the goal to ``math.dist``, which reduces
+    their differences as ``math.hypot`` does, in ascending order of the
     references' folded keys, an order that no permutation or re-spelling
     of the references changes; checked with an order-sensitive stand-in
-    for ``hypot``, so without relying on its accuracy."""
+    for ``dist``, so without relying on its accuracy."""
 
-    def test_every_l2_row_reaches_hypot_in_key_order(self, hypot_calls):
+    def test_every_l2_row_reaches_hypot_in_key_order(self, dist_calls):
         rng = random.Random(27)
         # a reference's values (10 k + quarter steps, which tie rows), goal
         # (100 k + 0.5) and differences from it are about k times the first
@@ -370,28 +372,28 @@ class TestL2InFoldedKeyOrder:
         row = row_profile(table, "C0")
         metric_distance(L2, row, target)
         magnitude(L2, row)
-        assert len(hypot_calls) > 12
-        assert {tuple(round(c / call[0]) for c in call) for call in hypot_calls} == {(1, 2, 3, 4)}
+        assert len(dist_calls) > 12
+        assert {tuple(round(c / call[0]) for c in call) for call in dist_calls} == {(1, 2, 3, 4)}
 
-    def test_norms_puts_only_l2_in_key_order(self, hypot_calls):
-        # (key, column) pairs in every order: each L2 row reaches hypot in
-        # ascending key order, and the norms that reduce the columns as
-        # given give the same bits in every order
+    def test_norms_puts_only_l2_in_key_order(self, dist_calls):
+        # (key, column, goal) triples in every order: each L2 row reaches
+        # dist in ascending key order, and the norms that reduce the columns
+        # as given give the same bits in every order
         rng = random.Random(29)
-        keyed = [(key, [rng.randrange(1, 400) / 8 for _ in range(6)])
+        keyed = [(key, [rng.randrange(1, 400) / 8 for _ in range(6)], rng.randrange(1, 400) / 8)
                  for key in ("alpha", "beta", "ebano", "zeta")]
-        in_key_order = list(zip(*(column for _, column in keyed)))
+        in_key_order = list(zip(*([abs(v - g) for v in column] for _, column, g in keyed)))
         results = {metric: set() for metric in (LINF, L1, MetricSpec.ln(3), MetricSpec.ln(40))}
-        for pairs in itertools.permutations(keyed):
-            keys, columns = zip(*pairs)
-            hypot_calls.clear()
-            _norms(L2, columns, keys)
-            assert hypot_calls == in_key_order
+        for triples in itertools.permutations(keyed):
+            keys, columns, goal = zip(*triples)
+            dist_calls.clear()
+            _norms(L2, columns, goal, keys)
+            assert dist_calls == in_key_order
             for metric, seen in results.items():
-                seen.add(tuple(x.hex() for x in _norms(metric, columns, keys)))
+                seen.add(tuple(x.hex() for x in _norms(metric, columns, goal, keys)))
         assert all(len(seen) == 1 for seen in results.values())
 
-    def test_results_do_not_depend_on_the_order_or_spelling_of_references(self, hypot_calls):
+    def test_results_do_not_depend_on_the_order_or_spelling_of_references(self, dist_calls):
         rng = random.Random(2027)
         for _ in range(10):
             columns = {ref: [rng.randrange(1, 5) / 4 for _ in range(8)] for ref in KEY_PLACE}
@@ -556,9 +558,9 @@ class TestSweep:
                 return fn(*args)
             return wrapper
 
-        def recorded(spec, columns, keys):
+        def recorded(spec, columns, goal, keys):
             reduced.append(len(columns[0]))
-            return norms(spec, columns, keys)
+            return norms(spec, columns, goal, keys)
 
         # one ranking pass per family, one full-table reduction and one
         # relative-error scale per family metric; the L2 tie-break reduces

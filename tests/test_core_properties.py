@@ -2,14 +2,17 @@
 
 Profile values are drawn from the 0.01 grid in [0, 200], mirroring the
 resolution of the real data; exact ties are therefore common and exercise
-the tie-sensitive code paths.  The batch reducer is also checked on
+the tie-sensitive code paths.  The batch kernel is also checked on
 differences up to 1.7e308, where norms overflow, and its row peaks (the
-L_inf distance and the scale of Ln) against a ``max(*row)`` reference.
-The per-row oracle hands ``math.hypot`` each row in descending order, the
-reducer in ascending order of its columns' keys, which the tests permute
-with the columns; an L2 failure there is a row on which ``hypot`` depends
-on the order of its arguments, not a reducer fault: record the row, and
-pin it with hypothesis's ``@example``.
+L_inf distance and the scale of Ln) against a ``max(*row)`` reference,
+both against an all-zero goal, and against a drawn goal on the written-out
+|v - g| differences.  Its L2 rests on ``math.dist`` giving the double that
+``math.hypot`` gives for the differences in the same order, checked here
+too.  The first per-row oracle hands ``math.hypot`` each row in descending
+order, the kernel in ascending order of its columns' keys, which the tests
+permute with the columns; an L2 failure there is a row on which ``hypot``
+depends on the order of its arguments, not a kernel fault: record the row,
+and pin it with hypothesis's ``@example``.
 """
 
 import math
@@ -198,12 +201,13 @@ def test_batch_reducer_equals_a_per_row_oracle(order, data):
     rows, columns, keys = data
     expected = [oracle_row_norm(order, row) for row in rows]
     spec = MetricSpec(order)
+    zeros = [0.0] * len(keys)  # the rows are already differences
     if math.inf in expected:
         with pytest.raises(InvalidValue, match=f"the {spec.token} distance"):
-            _norms(spec, columns, keys)
+            _norms(spec, columns, zeros, keys)
     else:
-        assert _norms(spec, columns, keys) == expected
-        assert [_norm(spec, row, sorted(keys)) for row in rows] == expected
+        assert _norms(spec, columns, zeros, keys) == expected
+        assert [_norm(spec, row, zeros, sorted(keys)) for row in rows] == expected
 
 
 DBL_MAX = sys.float_info.max
@@ -246,8 +250,78 @@ def test_row_peaks_equal_a_max_reference(order, data):
     rows, columns, keys = data
     expected = [max_row_norm(order, row) for row in rows]
     spec = MetricSpec(order)
+    zeros = [0.0] * len(keys)  # the rows are already differences
     if math.inf in expected:
         with pytest.raises(InvalidValue, match=f"the {spec.token} distance"):
-            _norms(spec, columns, keys)
+            _norms(spec, columns, zeros, keys)
     else:
-        assert [x.hex() for x in _norms(spec, columns, keys)] == [x.hex() for x in expected]
+        assert [x.hex() for x in _norms(spec, columns, zeros, keys)] == [x.hex() for x in expected]
+
+
+def goal_oracle(order, row, goal):
+    """One row's Lp distance to ``goal``, written out over the |v - g|
+    differences; ``row`` and ``goal`` are given in ascending key order, the
+    order in which L2 hands them to ``hypot``."""
+    diffs = [abs(v - g) for v, g in zip(row, goal)]
+    return math.hypot(*diffs) if order == 2 else oracle_row_norm(order, diffs)
+
+
+@st.composite
+def value_columns_and_goal(draw):
+    """Rows and a goal that is not all zero, both drawn from zeros, repeated
+    values and values next to the largest double, with the columns, the
+    goal and the keys permuted together."""
+    n_refs = draw(st.integers(min_value=1, max_value=6))
+    n_rows = draw(st.integers(min_value=1, max_value=10))
+    value = st.one_of(
+        st.sampled_from((0.0, 0.0, 1.0, 2.5, 2.5, 5e-324, DBL_MAX,
+                         math.nextafter(DBL_MAX, 0.0), DBL_MAX / 2)),
+        st.integers(min_value=0, max_value=20000).map(lambda k: k / 100.0),
+        st.floats(min_value=0.0, max_value=DBL_MAX),
+    )
+    rows = [draw(st.lists(value, min_size=n_refs, max_size=n_refs)) for _ in range(n_rows)]
+    goal = draw(st.lists(value, min_size=n_refs, max_size=n_refs).filter(any))
+    order = draw(st.permutations(range(n_refs)))
+    return (rows, goal, [[row[i] for row in rows] for i in order], [goal[i] for i in order],
+            [f"k{i}" for i in order])
+
+
+@pytest.mark.parametrize("order", [None, 1, 2, 3, 40, 2**64 + 1],
+                         ids=lambda n: MetricSpec(n).token[:8])
+@given(value_columns_and_goal())
+@settings(max_examples=200, deadline=None)
+def test_kernel_equals_a_per_row_oracle_against_a_goal(order, data):
+    """_norms and _norm measure each row against the goal bit for bit as the
+    written-out formulas on its |v - g| differences do, or raise
+    InvalidValue when a distance is not a finite double."""
+    rows, goal, columns, permuted_goal, keys = data
+    expected = [goal_oracle(order, row, goal) for row in rows]
+    spec = MetricSpec(order)
+    if math.inf in expected:
+        with pytest.raises(InvalidValue, match=f"the {spec.token} distance"):
+            _norms(spec, columns, permuted_goal, keys)
+    else:
+        hexes = [x.hex() for x in expected]
+        assert [x.hex() for x in _norms(spec, columns, permuted_goal, keys)] == hexes
+        assert [_norm(spec, row, goal, sorted(keys)).hex() for row in rows] == hexes
+
+
+@st.composite
+def point_pairs(draw):
+    size = draw(st.integers(min_value=1, max_value=40))
+    value = st.one_of(
+        st.sampled_from((0.0, 1.0, 2.5, 5e-324, DBL_MAX, math.nextafter(DBL_MAX, 0.0))),
+        st.integers(min_value=0, max_value=20000).map(lambda k: k / 100.0),
+        st.floats(min_value=0.0, max_value=DBL_MAX),
+    )
+    coordinates = st.lists(value, min_size=size, max_size=size)
+    return draw(coordinates), draw(coordinates)
+
+
+@given(point_pairs())
+@settings(max_examples=300, deadline=None)
+def test_dist_is_hypot_of_the_differences(pair):
+    """math.dist(p, q) is the double that math.hypot gives for the |a - b|
+    differences in the same order, the premise of the kernel's L2."""
+    p, q = pair
+    assert math.dist(p, q).hex() == math.hypot(*(abs(a - b) for a, b in zip(p, q))).hex()
